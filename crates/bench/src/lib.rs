@@ -1,8 +1,8 @@
 //! # cr-spectre-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the
-//! paper's evaluation, plus Criterion micro-benchmarks of the
-//! subsystems.
+//! paper's evaluation. Performance is measured separately, by the
+//! stand-alone `perfbench/` package.
 //!
 //! Binaries (each prints the paper-style rows/series):
 //!
@@ -12,13 +12,8 @@
 //! * `table1` — IPC overhead per benchmark (Table I);
 //! * `ablations` — extra sweeps of design choices (speculation window,
 //!   covert-channel stride, perturbation delay, feature composition);
-//! * `sim_throughput` — perf-regression harness for the execution fast
-//!   path: guest MIPS fast vs. slow on a fixed instruction mix and the
-//!   fig5 smoke campaign, written to `BENCH_sim.json`;
-//! * `hid_throughput` — perf-regression harness for the HID's flat math
-//!   core: train/predict rows per second per classifier family, fast
-//!   (flat `Mat` + batched GEMM) vs. the seed reference
-//!   implementations, written to `BENCH_hid.json`.
+//! * `defense_overhead` — IPC under no defense, InvisiSpec and CSF per
+//!   workload, and whether the Spectre leak survives.
 //!
 //! Run with `cargo run --release -p cr-spectre-bench --bin fig5`.
 

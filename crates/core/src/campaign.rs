@@ -13,7 +13,7 @@
 //!
 //! Scales (samples per class, attempts) default to paper values where
 //! cheap and to documented reductions where not; every driver takes an
-//! explicit [`CampaignConfig`] so benches and tests pick their own size.
+//! explicit [`CampaignConfig`] so harnesses and tests pick their own size.
 
 use cr_spectre_hid::detector::{Hid, HidKind, HidMode};
 use cr_spectre_hpc::dataset::{Dataset, Label};

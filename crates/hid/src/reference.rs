@@ -4,8 +4,7 @@
 //! These are the **equivalence oracles**: the fast flat-matrix paths in
 //! [`crate::net`], [`crate::logreg`], [`crate::svm`] and [`crate::knn`]
 //! must produce bit-identical trained weights and predictions, locked by
-//! `tests/fastmath_equivalence.rs`. They also serve as the "before"
-//! baseline for the `hid_throughput` benchmark — the same role the
+//! `tests/fastmath_equivalence.rs` — the same role the
 //! `fast_path = false` interpreter plays for the simulator.
 //!
 //! Nothing here is used by the campaign drivers; production code always

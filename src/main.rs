@@ -80,9 +80,6 @@ fn variant_by_name(name: &str) -> Result<SpectreVariant, String> {
 
 fn machine_from(args: &Args) -> Result<MachineConfig, String> {
     let mut machine = MachineConfig::default();
-    if args.switch("no-fast-path") {
-        machine.fast_path = false;
-    }
     if args.switch("no-clflush") {
         machine.protect.clflush_enabled = false;
     }
@@ -245,12 +242,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
 
     let mut cfg =
         if args.switch("quick") { CampaignConfig::smoke() } else { CampaignConfig::default() };
-    if args.switch("no-fast-path") {
-        // Escape hatch: run every machine on the uncached slow path.
-        // Results are bit-identical (the fastpath_equivalence suite pins
-        // this); the switch exists to prove it from the CLI.
-        cfg.machine.fast_path = false;
-    }
     if args.switch("threads") {
         return Err("--threads needs a value".to_string());
     }
@@ -378,8 +369,6 @@ common options:
   --canary          compile the host with a stack canary
   --aslr SEED       enable ASLR
   --no-clflush / --evict-reload / --shadow-stack / --invisispec / --csf
-  --no-fast-path    disable the execution fast path (predecode + page
-                    caches); results are bit-identical, only slower
 
 campaign options:
   --artifact A      fig4 | fig5 | fig6 | table1 | all (default all)
