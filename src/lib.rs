@@ -31,8 +31,9 @@
 //! # Ok::<(), cr_spectre::attack::AttackError>(())
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and
-//! `crates/bench/src/bin/` for the Figure 4–6 / Table I harnesses.
+//! See `examples/` for runnable end-to-end scenarios. The `cr-spectre`
+//! binary regenerates the Figure 4–6 / Table I evaluation with
+//! `cr-spectre campaign --artifact fig4|fig5|fig6|table1|ablations|defense_overhead|all`.
 
 #![warn(missing_docs)]
 

@@ -8,9 +8,12 @@
 //! cr-spectre gadgets  [--host H] [--max-len N] [--limit N]
 //! cr-spectre disasm   [--host H] [--symbol S] [--context N]
 //! cr-spectre profile  [--app NAME] [--interval N] [--csv PATH]
-//! cr-spectre campaign [--artifact fig4|fig5|fig6|table1|all] [--threads N] [--quick]
+//! cr-spectre trace    [--host H] [--limit N]
+//! cr-spectre campaign [--artifact A] [--threads N] [--quick] [--quiet] [--telemetry PATH]
 //! cr-spectre list
 //! ```
+
+mod experiments;
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -36,7 +39,9 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
+    /// Parses `raw`, rejecting any flag not named in `known` (the flags
+    /// the subcommand reads).
+    fn parse(raw: &[String], known: &[&str]) -> Result<Args, String> {
         let mut values = HashMap::new();
         let mut switches = Vec::new();
         let mut it = raw.iter().peekable();
@@ -44,6 +49,9 @@ impl Args {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument {arg:?}"));
             };
+            if !known.contains(&name) {
+                return Err(format!("unknown flag {arg}"));
+            }
             match it.peek() {
                 Some(next) if !next.starts_with("--") => {
                     values.insert(name.to_string(), it.next().expect("peeked").clone());
@@ -236,12 +244,12 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    use cr_spectre::campaign::{fig4, fig5, fig6, table1, CampaignConfig, EvasionResult};
+    use cr_spectre::campaign::CampaignConfig;
     use cr_spectre::telemetry;
     use cr_spectre::telemetry::sink::{JsonlSink, Sink, SummarySink};
 
-    let mut cfg =
-        if args.switch("quick") { CampaignConfig::smoke() } else { CampaignConfig::default() };
+    let quick = args.switch("quick");
+    let mut cfg = if quick { CampaignConfig::smoke() } else { CampaignConfig::default() };
     if args.switch("threads") {
         return Err("--threads needs a value".to_string());
     }
@@ -252,10 +260,12 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         }
         cfg.threads = threads;
     }
-    let artifact = args.value("artifact").unwrap_or("all");
-    let wants = |name: &str| artifact == "all" || artifact == name;
-    if !["all", "fig4", "fig5", "fig6", "table1"].contains(&artifact) {
-        return Err(format!("unknown artifact {artifact:?} (fig4 | fig5 | fig6 | table1 | all)"));
+    let wanted = args.value("artifact").unwrap_or("all");
+    let artifacts: Vec<&str> =
+        experiments::ARTIFACTS.into_iter().filter(|&a| wanted == "all" || wanted == a).collect();
+    if artifacts.is_empty() {
+        let known = experiments::ARTIFACTS.join(" | ");
+        return Err(format!("unknown artifact {wanted:?} ({known} | all)"));
     }
     let quiet = args.switch("quiet");
     if args.switch("telemetry") {
@@ -273,69 +283,22 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         }
         telemetry::install(sinks);
     }
-    if !quiet {
-        println!("campaign on {} worker thread(s)\n", cfg.threads);
-    }
-
-    let headline = |result: &EvasionResult| {
-        let spectre_mean = result.spectre.iter().map(|s| s.mean()).sum::<f64>()
-            / result.spectre.len().max(1) as f64;
-        let cr_min = result
-            .cr_spectre
-            .iter()
-            .flat_map(|s| s.accuracy.iter().copied())
-            .fold(f64::INFINITY, f64::min);
-        (spectre_mean, if cr_min.is_finite() { cr_min } else { 0.0 })
-    };
-
-    if wants("fig4") {
-        let rows = fig4(&cfg);
-        let acc4: Vec<f64> = rows
-            .iter()
-            .filter_map(|r| r.accuracies.iter().find(|(s, _)| *s == 4).map(|&(_, a)| a))
-            .collect();
-        let mean4 = acc4.iter().sum::<f64>() / acc4.len().max(1) as f64;
-        println!("fig4  : {} hosts, mean accuracy at 4 features {:.1}%", rows.len(), mean4 * 100.0);
-    }
-    if wants("fig5") {
-        let (spectre, cr) = headline(&fig5(&cfg));
-        println!(
-            "fig5  : offline HID — Spectre mean {:.1}%, CR-Spectre minimum {:.1}%",
-            spectre * 100.0,
-            cr * 100.0
-        );
-    }
-    if wants("fig6") {
-        let (spectre, cr) = headline(&fig6(&cfg));
-        println!(
-            "fig6  : online HID — Spectre mean {:.1}%, CR-Spectre minimum {:.1}%",
-            spectre * 100.0,
-            cr * 100.0
-        );
-    }
-    if wants("table1") {
-        let iterations = if args.switch("quick") { 1 } else { 5 };
-        let rows = table1(&cfg, iterations);
-        let n = rows.len().max(1) as f64;
-        let off = rows.iter().map(|r| r.overhead_offline()).sum::<f64>() / n;
-        let on = rows.iter().map(|r| r.overhead_online()).sum::<f64>() / n;
-        println!(
-            "table1: mean IPC overhead {:+.2}% offline, {:+.2}% online over {} hosts",
-            off * 100.0,
-            on * 100.0,
-            rows.len()
-        );
-    }
-    if !quiet {
-        println!(
-            "\nfull paper-style tables: cargo run --release -p cr-spectre-bench --bin <artifact>"
-        );
+    for artifact in artifacts {
+        match artifact {
+            "fig4" => experiments::fig4(&cfg, quiet),
+            "fig5" => experiments::fig5(&cfg, quiet),
+            "fig6" => experiments::fig6(&cfg, quiet),
+            "table1" => experiments::table1(&cfg, if quick { 1 } else { 5 }, quiet),
+            "ablations" => experiments::ablations(&cfg, quiet),
+            "defense_overhead" => experiments::defense_overhead(quiet),
+            other => unreachable!("artifact {other:?} is listed but has no driver"),
+        }
     }
     let _ = telemetry::shutdown();
     Ok(())
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Args) -> Result<(), String> {
     println!("MiBench-like hosts:");
     for w in Mibench::ALL {
         println!("  {:<14} {}", w.name(), w.display_name());
@@ -345,8 +308,9 @@ fn cmd_list() {
         println!("  {}", a.name());
     }
     println!("\nsecret carried by every host: {:?}", String::from_utf8_lossy(SECRET));
-    println!("\nexperiment harnesses live in the bench crate:");
-    println!("  cargo run --release -p cr-spectre-bench --bin fig4|fig5|fig6|table1|ablations|defense_overhead");
+    println!("\nevaluation artifacts (`cr-spectre campaign --artifact A`):");
+    println!("  {} | all", experiments::ARTIFACTS.join(" | "));
+    Ok(())
 }
 
 const USAGE: &str = "\
@@ -359,10 +323,11 @@ commands:
   disasm    disassemble a host image (--symbol S for a window)
   profile   profile a workload and optionally export CSV (--csv PATH)
   trace     print the first --limit executed instructions of a host
-  campaign  run the evaluation drivers (Figures 4-6, Table I) in parallel
-  list      list hosts and benign applications
+  campaign  regenerate the paper's evaluation (Figures 4-6, Table I) and
+            the extra experiments, in parallel
+  list      list hosts, benign applications and evaluation artifacts
 
-common options:
+attack / spectre options:
   --host H          target host (default bitcount_50m)
   --variant v1|rsb  speculation variant
   --perturb none|paper|evasive
@@ -371,10 +336,12 @@ common options:
   --no-clflush / --evict-reload / --shadow-stack / --invisispec / --csf
 
 campaign options:
-  --artifact A      fig4 | fig5 | fig6 | table1 | all (default all)
+  --artifact A      fig4 | fig5 | fig6 | table1 | ablations |
+                    defense_overhead | all (default all, in that order)
   --threads N       worker threads (default: all cores; results are
                     bit-identical at every thread count)
-  --quick           smoke-scale configuration
+  --quick           smoke-scale configuration (ablations and
+                    defense_overhead always run at their one scale)
   --telemetry PATH  record a structured JSONL trace of the run (spans,
                     counters, histograms; off by default, and results
                     are bit-identical with it on)
@@ -382,13 +349,47 @@ campaign options:
                     the telemetry summary report
 ";
 
+/// The flags `attack` and `spectre` read through [`attack_config`].
+const ATTACK_FLAGS: &[&str] = &[
+    "host",
+    "variant",
+    "perturb",
+    "canary",
+    "evict-reload",
+    "no-clflush",
+    "shadow-stack",
+    "invisispec",
+    "csf",
+    "aslr",
+];
+
+type Command = fn(&Args) -> Result<(), String>;
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = raw.split_first() else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let args = match Args::parse(rest) {
+    let (run, known): (Command, &[&str]) = match command.as_str() {
+        "attack" => (cmd_attack, ATTACK_FLAGS),
+        "spectre" => (cmd_spectre, ATTACK_FLAGS),
+        "gadgets" => (cmd_gadgets, &["host", "max-len", "limit"]),
+        "disasm" => (cmd_disasm, &["host", "symbol", "context"]),
+        "profile" => (cmd_profile, &["app", "interval", "csv"]),
+        "trace" => (cmd_trace, &["host", "limit"]),
+        "campaign" => (cmd_campaign, &["artifact", "threads", "quick", "quiet", "telemetry"]),
+        "list" => (cmd_list, &[]),
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command {other:?}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let args = match Args::parse(rest, known) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -396,25 +397,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "attack" => cmd_attack(&args),
-        "spectre" => cmd_spectre(&args),
-        "gadgets" => cmd_gadgets(&args),
-        "disasm" => cmd_disasm(&args),
-        "profile" => cmd_profile(&args),
-        "trace" => cmd_trace(&args),
-        "campaign" => cmd_campaign(&args),
-        "list" => {
-            cmd_list();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

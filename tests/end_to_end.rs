@@ -163,8 +163,31 @@ fn hardened_machine_defeats_cr_spectre() {
 
 // ---------------------------------------------------------------------
 // Campaign drivers at smoke scale: tier-1 exercises every figure/table
-// generator end to end and pins their structural invariants.
+// generator end to end, pins their structural invariants, and pins
+// their exact results with golden digests.
 // ---------------------------------------------------------------------
+
+// Golden digests of the smoke-scale (`CampaignConfig::smoke()`) results,
+// recorded from release builds on a tree whose fast path ≡ reference
+// suite (`crates/core/tests/fastpath_equivalence.rs`) passed.
+const FIG4_GOLDEN: u64 = 0x0f41_8cb7_418f_b685;
+const FIG5_GOLDEN: u64 = 0xac6c_d06c_fc62_409f;
+const FIG6_GOLDEN: u64 = 0x159f_b55a_4335_104e;
+const TABLE1_GOLDEN: u64 = 0x219f_e678_8cdd_fc40;
+
+/// FNV-1a-64 of a result's `Debug` text.
+fn digest(result: &impl std::fmt::Debug) -> u64 {
+    format!("{result:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Fails when a driver's smoke-scale result changes at all. A change
+/// that alters results on purpose re-records the constant and says so.
+fn assert_golden(what: &str, result: &impl std::fmt::Debug, expected: u64) {
+    let got = digest(result);
+    assert_eq!(got, expected, "{what}: golden digest {got:#018x} != {expected:#018x}");
+}
 
 fn assert_series_grid(result: &EvasionResult, attempts: usize, what: &str) {
     for (panel, series) in [("spectre", &result.spectre), ("cr_spectre", &result.cr_spectre)] {
@@ -185,6 +208,7 @@ fn assert_series_grid(result: &EvasionResult, attempts: usize, what: &str) {
 #[test]
 fn fig4_driver_covers_the_host_by_feature_size_grid() {
     let rows = fig4(&CampaignConfig::smoke());
+    assert_golden("fig4", &rows, FIG4_GOLDEN);
     assert_eq!(rows.len(), Mibench::FIG4_HOSTS.len(), "one row per Figure-4 host");
     for (row, &host) in rows.iter().zip(&Mibench::FIG4_HOSTS) {
         assert_eq!(row.host, host, "rows follow the paper's host order");
@@ -199,18 +223,23 @@ fn fig4_driver_covers_the_host_by_feature_size_grid() {
 #[test]
 fn fig5_driver_produces_full_series_for_every_detector() {
     let cfg = CampaignConfig::smoke();
-    assert_series_grid(&fig5(&cfg), cfg.attempts, "fig5");
+    let result = fig5(&cfg);
+    assert_golden("fig5", &result, FIG5_GOLDEN);
+    assert_series_grid(&result, cfg.attempts, "fig5");
 }
 
 #[test]
 fn fig6_driver_produces_full_series_for_every_detector() {
     let cfg = CampaignConfig::smoke();
-    assert_series_grid(&fig6(&cfg), cfg.attempts, "fig6");
+    let result = fig6(&cfg);
+    assert_golden("fig6", &result, FIG6_GOLDEN);
+    assert_series_grid(&result, cfg.attempts, "fig6");
 }
 
 #[test]
 fn table1_overheads_are_finite_and_ipcs_positive() {
     let rows = table1(&CampaignConfig::smoke(), 1);
+    assert_golden("table1", &rows, TABLE1_GOLDEN);
     assert_eq!(rows.len(), Mibench::TABLE1_ROWS.len(), "one row per Table-I benchmark");
     for (row, &host) in rows.iter().zip(&Mibench::TABLE1_ROWS) {
         assert_eq!(row.host, host);
