@@ -6,17 +6,21 @@
 //!   original jagged `Vec<Vec<f64>>` implementations were written
 //!   against — kept verbatim, because they define the reference
 //!   floating-point evaluation order;
-//! * the flat math core ([`Mat`], [`Scratch`], [`gemm_nt`],
+//! * the flat math core ([`Mat`], [`dot4`], [`gemm_nt`],
 //!   [`matvec_into`]) the detector fast paths run on: one contiguous
-//!   row-major allocation per matrix, cache-blocked GEMM, and a buffer
-//!   arena so training epochs allocate nothing.
+//!   row-major allocation per matrix, cache-blocked GEMM, and a lane
+//!   kernel that runs four dot products side by side.
 //!
-//! **Bit-exactness contract:** every element any flat routine produces
-//! is computed by the *same* inner k-order fold as [`dot`] — blocking
-//! only reorders which (row, column) pairs are visited, never the
-//! additions inside one pair. `crates/hid/tests/fastmath_equivalence.rs`
-//! and the proptests in `crates/hid/tests/props.rs` lock this in
-//! against the seed implementations.
+//! **Bit-exactness contract:** [`dot`]'s fold order is the only
+//! reduction order; lanes run independent folds. Every element any flat
+//! routine produces is one fold that starts at −0.0 (as Rust's f64 `sum`
+//! does) and adds its products left to right over k. [`dot4`] only
+//! interleaves four such folds so their add chains overlap in the
+//! pipeline, and blocking only reorders which (row, column) pairs are
+//! visited — never the additions inside one pair.
+//! `crates/hid/tests/fastmath_equivalence.rs` and the proptests in
+//! `crates/hid/tests/props.rs` lock this in against the seed
+//! implementations.
 
 /// Dot product of two equal-length slices.
 ///
@@ -169,13 +173,57 @@ impl Mat {
     }
 }
 
+/// Four independent [`dot`] folds side by side: lane `l` is exactly
+/// `dot(r_l, x)`, bit for bit.
+///
+/// Each lane starts at −0.0 and adds its products left to right over k,
+/// the same fold as [`dot`]; only the four dependent add chains are
+/// interleaved, so they overlap in the FP pipeline instead of waiting on
+/// each other.
+///
+/// # Panics
+///
+/// Panics when any row's length differs from `x`.
+pub fn dot4(x: &[f64], r0: &[f64], r1: &[f64], r2: &[f64], r3: &[f64]) -> [f64; 4] {
+    let n = x.len();
+    assert!(
+        r0.len() == n && r1.len() == n && r2.len() == n && r3.len() == n,
+        "dot4 of mismatched lengths"
+    );
+    let (r0, r1, r2, r3) = (&r0[..n], &r1[..n], &r2[..n], &r3[..n]);
+    let mut acc = [-0.0f64; 4];
+    for k in 0..n {
+        acc[0] += r0[k] * x[k];
+        acc[1] += r1[k] * x[k];
+        acc[2] += r2[k] * x[k];
+        acc[3] += r3[k] * x[k];
+    }
+    acc
+}
+
+/// `out[t] = dot(m.row(first + t), x)`: four rows per [`dot4`], with a
+/// scalar [`dot`] tail for the last `out.len() % 4` rows.
+fn dot_rows(m: &Mat, first: usize, x: &[f64], out: &mut [f64]) {
+    let mut j = first;
+    let mut quads = out.chunks_exact_mut(4);
+    for q in &mut quads {
+        q.copy_from_slice(&dot4(x, m.row(j), m.row(j + 1), m.row(j + 2), m.row(j + 3)));
+        j += 4;
+    }
+    for o in quads.into_remainder() {
+        *o = dot(m.row(j), x);
+        j += 1;
+    }
+}
+
 /// Cache-block edge for [`gemm_nt`]: 32×32 output tiles keep one tile
 /// of each operand (~8 KiB at 4-wide features, still fine at 32-wide
 /// hidden layers) resident in L1 while the full-k inner loop runs.
 const GEMM_BLOCK: usize = 32;
 
 /// `out = a · bᵀ` — the whole-batch product of two row-major matrices
-/// sharing their inner (k) dimension, i/j-blocked for cache reuse.
+/// sharing their inner (k) dimension, i/j-blocked for cache reuse and
+/// register-blocked four j-columns at a time through [`dot4`].
 ///
 /// Every output element is exactly `dot(a.row(i), b.row(j))`: the k
 /// loop is never split, so each element's floating-point fold matches
@@ -194,19 +242,14 @@ pub fn gemm_nt(a: &Mat, b: &Mat, out: &mut Mat) {
         for jb in (0..n).step_by(GEMM_BLOCK) {
             let je = (jb + GEMM_BLOCK).min(n);
             for i in ib..ie {
-                let ar = a.row(i);
-                let or = &mut out.row_mut(i)[jb..je];
-                for (o, j) in or.iter_mut().zip(jb..je) {
-                    // Full-k inner fold: identical order to `dot`.
-                    *o = dot(ar, b.row(j));
-                }
+                dot_rows(b, jb, a.row(i), &mut out.row_mut(i)[jb..je]);
             }
         }
     }
 }
 
 /// `out[j] = dot(m.row(j), x)` without allocating — the flat
-/// counterpart of [`matvec`].
+/// counterpart of [`matvec`], four rows at a time through [`dot4`].
 ///
 /// # Panics
 ///
@@ -214,46 +257,7 @@ pub fn gemm_nt(a: &Mat, b: &Mat, out: &mut Mat) {
 pub fn matvec_into(m: &Mat, x: &[f64], out: &mut [f64]) {
     assert_eq!(m.cols(), x.len(), "matvec_into width mismatch");
     assert_eq!(m.rows(), out.len(), "matvec_into output length mismatch");
-    for (o, row) in out.iter_mut().zip(m.iter_rows()) {
-        *o = dot(row, x);
-    }
-}
-
-/// A free-list arena of reusable `f64` buffers.
-///
-/// Training loops take their activation/gradient buffers from a
-/// `Scratch` once per fit; nothing inside an epoch allocates. Returned
-/// buffers keep their capacity, so a retrain at the same shape is
-/// allocation-free end to end.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    pool: Vec<Vec<f64>>,
-}
-
-impl Scratch {
-    /// An empty arena.
-    pub fn new() -> Scratch {
-        Scratch::default()
-    }
-
-    /// Hands out a zeroed buffer of length `len`, reusing a pooled
-    /// allocation when one is available.
-    pub fn take(&mut self, len: usize) -> Vec<f64> {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Returns a buffer to the pool for reuse.
-    pub fn put(&mut self, buf: Vec<f64>) {
-        self.pool.push(buf);
-    }
-
-    /// Buffers currently pooled (diagnostics).
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
+    dot_rows(m, 0, x, out);
 }
 
 #[cfg(test)]
@@ -264,12 +268,22 @@ mod tests {
     fn dot_basic() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
+        // The fold starts at −0.0, as Rust's f64 `sum` does; `dot4`
+        // seeds its lanes the same way.
+        assert!(dot(&[], &[]).is_sign_negative());
+        assert_eq!(dot4(&[], &[], &[], &[], &[]).map(f64::to_bits), [(-0.0f64).to_bits(); 4]);
     }
 
     #[test]
     #[should_panic(expected = "mismatched")]
     fn dot_mismatch_panics() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched")]
+    fn dot4_mismatch_panics() {
+        let _ = dot4(&[1.0], &[1.0], &[1.0], &[1.0, 2.0], &[1.0]);
     }
 
     #[test]
@@ -356,8 +370,11 @@ mod tests {
 
     #[test]
     fn gemm_nt_matches_per_element_dot() {
-        // Shapes straddling the 32-wide block edge.
-        for (m, n, k) in [(1, 1, 1), (3, 5, 4), (33, 34, 7), (64, 32, 33), (2, 2, 0)] {
+        // Shapes straddling the 32-wide block edge, and n ≡ 1, 2, 3
+        // (mod 4) below it so the scalar tail after the 4-wide lanes runs.
+        for (m, n, k) in
+            [(1, 1, 1), (3, 5, 4), (4, 6, 3), (5, 7, 9), (33, 34, 7), (64, 32, 33), (2, 2, 0)]
+        {
             let a = Mat::from_vec(
                 (0..m * k).map(|v| (v as f64).sin()).collect(),
                 m,
@@ -390,19 +407,5 @@ mod tests {
         let mut out = vec![0.0; 3];
         matvec_into(&m, &x, &mut out);
         assert_eq!(out, matvec(&jagged, &x));
-    }
-
-    #[test]
-    fn scratch_reuses_buffers() {
-        let mut s = Scratch::new();
-        let mut a = s.take(8);
-        a[0] = 7.0;
-        let ptr = a.as_ptr();
-        s.put(a);
-        assert_eq!(s.pooled(), 1);
-        let b = s.take(4);
-        assert_eq!(b, vec![0.0; 4], "recycled buffers are zeroed");
-        assert_eq!(b.as_ptr(), ptr, "allocation is reused");
-        assert_eq!(s.pooled(), 0);
     }
 }

@@ -4,12 +4,14 @@
 //!
 //! The implementation runs on the flat math core of [`crate::linalg`]:
 //! each layer's weights are one row-major [`Mat`] (`weights[l]` row `j`
-//! is output unit `j`'s fan-in), training reuses a [`Scratch`]-backed
-//! set of activation/gradient buffers so no epoch allocates, and
+//! is output unit `j`'s fan-in). A fit allocates its activation and
+//! gradient buffers once, so no epoch allocates. The per-sample forward
+//! pass computes four output units at a time through [`matvec_into`]'s
+//! lane kernel, backprop makes one pass over each layer's rows, and
 //! [`DenseNet::predict_batch`] forwards the whole batch through
-//! [`gemm_nt`]. Every dot product keeps the seed implementation's inner
-//! k-order, so weights and predictions are bit-identical to the jagged
-//! `Vec<Vec<Vec<f64>>>` original (kept as
+//! [`gemm_nt`]. Every dot product keeps the seed implementation's fold
+//! (−0.0 start, k in order), so weights and predictions are
+//! bit-identical to the jagged `Vec<Vec<Vec<f64>>>` original (kept as
 //! [`crate::reference::RefDenseNet`] and locked by
 //! `tests/fastmath_equivalence.rs`).
 
@@ -19,7 +21,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::detector::Detector;
-use crate::linalg::{dot, gemm_nt, relu, relu_grad, sigmoid, Mat, Scratch};
+use crate::linalg::{gemm_nt, matvec_into, relu, relu_grad, sigmoid, Mat};
 
 /// A dense network with ReLU hidden layers and a single sigmoid output,
 /// trained with per-sample SGD on binary cross-entropy.
@@ -40,8 +42,8 @@ pub struct DenseNet {
 }
 
 /// Preallocated per-fit working set: activations, pre-activations and
-/// the two delta buffers, all drawn from one [`Scratch`] arena up
-/// front so the per-sample loop never allocates.
+/// the two delta buffers, allocated once up front so the per-sample
+/// loop never allocates.
 struct NetScratch {
     /// `acts[0]` is the input copy; `acts[l + 1]` layer `l`'s output.
     acts: Vec<Vec<f64>>,
@@ -53,13 +55,12 @@ struct NetScratch {
 
 impl NetScratch {
     fn for_sizes(sizes: &[usize]) -> NetScratch {
-        let mut arena = Scratch::new();
         let widest = sizes.iter().copied().max().unwrap_or(0);
         NetScratch {
-            acts: sizes.iter().map(|&n| arena.take(n)).collect(),
-            zs: sizes[1..].iter().map(|&n| arena.take(n)).collect(),
-            delta: arena.take(widest),
-            prev_delta: arena.take(widest),
+            acts: sizes.iter().map(|&n| vec![0.0; n]).collect(),
+            zs: sizes[1..].iter().map(|&n| vec![0.0; n]).collect(),
+            delta: vec![0.0; widest],
+            prev_delta: vec![0.0; widest],
         }
     }
 }
@@ -138,8 +139,9 @@ impl DenseNet {
                 (&lo[l], &mut hi[0])
             };
             let z = &mut s.zs[l];
-            for j in 0..w.rows() {
-                z[j] = dot(w.row(j), input) + b[j];
+            matvec_into(w, input, z);
+            for (zj, bj) in z.iter_mut().zip(b) {
+                *zj += bj;
             }
             if l == layers - 1 {
                 for (a, &v) in output.iter_mut().zip(z.iter()) {
@@ -166,23 +168,38 @@ impl DenseNet {
         s.delta.clear();
         s.delta.push(p - target);
         for l in (0..layers).rev() {
-            // Propagate first (reading the pre-update weights), then
-            // take the gradient step — the seed's order.
-            let w = &self.weights[l];
-            s.prev_delta.clear();
-            if l > 0 {
-                for i in 0..w.cols() {
-                    let upstream: f64 =
-                        s.delta.iter().enumerate().map(|(j, d)| d * w.row(j)[i]).sum();
-                    s.prev_delta.push(upstream * relu_grad(s.zs[l - 1][i]));
-                }
-            }
+            // One pass over the layer's rows, j outer. Row j first adds
+            // its share of the upstream delta (reading the pre-update
+            // weights), then takes its own gradient step — which reads
+            // no other row, so every read sees the same weights as the
+            // seed's propagate-then-update order. `prev_delta[i]` folds
+            // `d_j * w[j][i]` over j from −0.0, exactly `dot`'s fold.
+            let lr = self.learning_rate;
             let w = &mut self.weights[l];
-            for (j, d) in s.delta.iter().enumerate() {
-                for (wv, &a) in w.row_mut(j).iter_mut().zip(&s.acts[l]) {
-                    *wv -= self.learning_rate * d * a;
+            let inputs = &s.acts[l];
+            s.prev_delta.clear();
+            s.prev_delta.resize(if l > 0 { w.cols() } else { 0 }, -0.0);
+            for (j, &d) in s.delta.iter().enumerate() {
+                // `lr * d * a` evaluates `lr * d` first; hoisting it
+                // keeps every bit.
+                let step = lr * d;
+                let row = w.row_mut(j);
+                if l > 0 {
+                    for ((up, wv), &a) in s.prev_delta.iter_mut().zip(row).zip(inputs) {
+                        *up += d * *wv;
+                        *wv -= step * a;
+                    }
+                } else {
+                    for (wv, &a) in row.iter_mut().zip(inputs) {
+                        *wv -= step * a;
+                    }
                 }
-                self.biases[l][j] -= self.learning_rate * d;
+                self.biases[l][j] -= step;
+            }
+            if l > 0 {
+                for (up, &z) in s.prev_delta.iter_mut().zip(&s.zs[l - 1]) {
+                    *up *= relu_grad(z);
+                }
             }
             std::mem::swap(&mut s.delta, &mut s.prev_delta);
         }

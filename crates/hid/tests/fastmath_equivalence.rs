@@ -137,6 +137,16 @@ fn check_all(x: &[Vec<f64>], y: &[u8], what: &str) {
     check_svm(x, y, what);
     check_net(DenseNet::mlp(), RefDenseNet::mlp(), x, y, &format!("{what} MLP"));
     check_net(DenseNet::nn6(), RefDenseNet::nn6(), x, y, &format!("{what} NN"));
+    // Hidden widths that are not multiples of 4, so training and
+    // prediction reach the scalar tail after the 4-wide lanes in every
+    // layer (the MLP and NN widths are all multiples of 4).
+    check_net(
+        DenseNet::new("odd", vec![7, 5, 3]),
+        RefDenseNet::new("odd", vec![7, 5, 3]),
+        x,
+        y,
+        &format!("{what} odd widths"),
+    );
     check_knn(x, y, what);
 }
 

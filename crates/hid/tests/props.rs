@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use cr_spectre_hid::detector::{Detector, Hid, HidKind, HidMode};
-use cr_spectre_hid::linalg::{dot, gemm_nt, matvec_into, sigmoid, Mat};
+use cr_spectre_hid::linalg::{dot, dot4, gemm_nt, matvec_into, sigmoid, Mat};
 use cr_spectre_hid::{DenseNet, LinearSvm, LogisticRegression};
 use cr_spectre_hpc::dataset::{Dataset, Label};
 
@@ -106,6 +106,21 @@ proptest! {
         }
     }
 
+    /// Every lane of the 4-wide kernel is `dot` of its row **bit for
+    /// bit**, at every length from 0 to 40.
+    #[test]
+    fn dot4_lanes_are_bitwise_dot(seed in any::<u64>()) {
+        for len in 0..=40 {
+            let (rows, x) = random_pair(4, 1, len, seed);
+            let r: Vec<&[f64]> = rows.iter_rows().collect();
+            let x = x.row(0);
+            let lanes = dot4(x, r[0], r[1], r[2], r[3]);
+            for (l, v) in lanes.iter().enumerate() {
+                prop_assert_eq!(v.to_bits(), dot(r[l], x).to_bits(), "lane {} len {}", l, len);
+            }
+        }
+    }
+
     /// Blocked GEMM equals the naive per-element `dot` **bit for bit**
     /// across random shapes, including degenerate ones (empty matrices,
     /// single rows, widths straddling the block size). This is the
@@ -151,6 +166,24 @@ proptest! {
             prop_assert_eq!(v.to_bits(), expect.to_bits(), "row {}", i);
             prop_assert_eq!(gemm_out.row(i)[0].to_bits(), expect.to_bits(), "row {}", i);
         }
+    }
+}
+
+/// Each lane seeds its fold at −0.0, as `dot` does: a row of −0.0 times
+/// positive weights sums to −0.0 (−0.0 + −0.0), which a +0.0 seed
+/// would turn into +0.0.
+#[test]
+fn dot4_keeps_negative_zero() {
+    for len in 0..=9 {
+        let zeros = vec![-0.0; len];
+        let ones = vec![1.0; len];
+        let halves = vec![0.5; len];
+        let lanes = dot4(&ones, &zeros, &halves, &zeros, &ones);
+        assert!(dot(&zeros, &ones).is_sign_negative(), "len {len}");
+        for (l, r) in [&zeros, &halves, &zeros, &ones].iter().enumerate() {
+            assert_eq!(lanes[l].to_bits(), dot(r, &ones).to_bits(), "lane {l} len {len}");
+        }
+        assert!(lanes[0].is_sign_negative() && lanes[0] == 0.0, "len {len}");
     }
 }
 
