@@ -1,12 +1,20 @@
 //! Runtime profiler: interval sampling of the PMU while a guest runs.
 //!
 //! This is the simulator analogue of the paper's PAPI-based profiling
-//! tool: it steps the machine and records, every `interval` cycles, the
+//! tool: it runs the machine and records, every `interval` cycles, the
 //! *delta* of all 56 hardware performance counters over that window. The
 //! HID consumes per-window deltas, exactly as a real sampling profiler
 //! delivers counter readings per sampling period.
+//!
+//! [`profile`] is a loop over windows, not over instructions: each
+//! [`Machine::run_until`] call runs the simulator's step loop up to the
+//! next window boundary, and the PMU is read once per window. A window
+//! closes on the first instruction that reaches or crosses its boundary,
+//! so its `at_cycle` can overshoot the boundary by that instruction's
+//! latency; the next boundary is the first multiple of `interval` (from
+//! the start cycle) past it.
 
-use cr_spectre_sim::cpu::{Machine, StepStatus};
+use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::error::RunOutcome;
 use cr_spectre_sim::pmu::{HpcEvent, PmuSnapshot};
 use cr_spectre_telemetry as telemetry;
@@ -67,26 +75,24 @@ impl Trace {
 pub fn profile(machine: &mut Machine, app: &str, interval: u64) -> Trace {
     assert!(interval > 0, "sampling interval must be nonzero");
     // Per-trial telemetry: one span per profiled run with wall time and
-    // speculation activity. The step loop itself stays uninstrumented —
+    // speculation activity. The window loop itself stays uninstrumented —
     // everything here reads the PMU once at the end.
     let mut span = telemetry::span("hpc.profile");
     let wall_start = span.is_recording().then(std::time::Instant::now);
     let mut samples = Vec::new();
     let mut last = machine.pmu().snapshot();
-    let mut next = machine.cycles() + interval;
+    let mut next = machine.cycles().saturating_add(interval);
     let outcome = loop {
-        match machine.step() {
-            StepStatus::Running => {
-                if machine.cycles() >= next {
-                    let snap = machine.pmu().snapshot();
-                    samples.push(Sample { at_cycle: machine.cycles(), deltas: snap - last });
-                    last = snap;
-                    while next <= machine.cycles() {
-                        next += interval;
-                    }
+        match machine.run_until(next) {
+            None => {
+                let snap = machine.pmu().snapshot();
+                samples.push(Sample { at_cycle: machine.cycles(), deltas: snap - last });
+                last = snap;
+                while next <= machine.cycles() {
+                    next += interval;
                 }
             }
-            StepStatus::Done(exit) => {
+            Some(exit) => {
                 let snap = machine.pmu().snapshot();
                 let tail = snap - last;
                 if tail.count(HpcEvent::Instructions) > 0 {
@@ -217,6 +223,60 @@ mod tests {
         assert_eq!(only.count(HpcEvent::Instructions), trace.outcome.instructions);
         assert_eq!(only.count(HpcEvent::Cycles), trace.outcome.cycles);
         assert_eq!(only.at_cycle, trace.outcome.cycles);
+    }
+
+    /// The per-step sampling loop `profile` ran before it became a loop
+    /// over `run_until` windows, kept as the oracle for the window loop.
+    fn profile_per_step(machine: &mut Machine, app: &str, interval: u64) -> Trace {
+        use cr_spectre_sim::cpu::StepStatus;
+        let mut samples = Vec::new();
+        let mut last = machine.pmu().snapshot();
+        let mut next = machine.cycles().saturating_add(interval);
+        let outcome = loop {
+            match machine.step() {
+                StepStatus::Running => {
+                    if machine.cycles() >= next {
+                        let snap = machine.pmu().snapshot();
+                        samples.push(Sample { at_cycle: machine.cycles(), deltas: snap - last });
+                        last = snap;
+                        while next <= machine.cycles() {
+                            next += interval;
+                        }
+                    }
+                }
+                StepStatus::Done(exit) => {
+                    let snap = machine.pmu().snapshot();
+                    let tail = snap - last;
+                    if tail.count(HpcEvent::Instructions) > 0 {
+                        samples.push(Sample { at_cycle: machine.cycles(), deltas: tail });
+                    }
+                    break RunOutcome {
+                        exit,
+                        instructions: machine.instructions(),
+                        cycles: machine.cycles(),
+                    };
+                }
+            }
+        };
+        Trace { app: app.to_string(), samples, outcome }
+    }
+
+    #[test]
+    fn window_loop_matches_per_step_oracle() {
+        for interval in [500u64, 2_000, 7_919, u64::MAX] {
+            let image = standalone_image(Mibench::Crc32);
+            let mut m = Machine::new(MachineConfig::default());
+            let li = m.load(&image).expect("loads");
+            m.start(li.entry);
+            let oracle = profile_per_step(&mut m, "crc32", interval);
+            let trace = profiled(interval);
+            assert_eq!(trace.outcome, oracle.outcome, "interval {interval}: outcome");
+            assert_eq!(trace.len(), oracle.len(), "interval {interval}: window count");
+            for (i, (got, want)) in trace.samples.iter().zip(&oracle.samples).enumerate() {
+                assert_eq!(got.at_cycle, want.at_cycle, "interval {interval}: window {i} at_cycle");
+                assert_eq!(got.deltas, want.deltas, "interval {interval}: window {i} deltas");
+            }
+        }
     }
 
     /// Window boundaries are strictly increasing cycle stamps — the HID's

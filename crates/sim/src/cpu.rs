@@ -76,6 +76,12 @@ pub enum StepStatus {
     Done(ExitReason),
 }
 
+/// The `Err` of the step helpers: the machine has stopped and
+/// [`Machine::exit_reason`] holds why. Zero-sized, so a step's result
+/// travels in a register rather than as a [`StepStatus`] in memory.
+#[derive(Debug)]
+struct Stopped;
+
 /// Number of slots in the predecoded-instruction cache. Power of two;
 /// covers 32 KiB of straight-line guest text (4096 slots × 8-byte
 /// instructions), comfortably more than any campaign workload image.
@@ -435,7 +441,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns a [`Fault`] if the image does not fit in memory.
+    /// Returns a [`Fault::Mem`] write fault, with guest memory untouched,
+    /// if the image does not fit in memory (including an extent that
+    /// overflows the address space), a segment offset is not
+    /// page-aligned, or a relocation field lies outside the image.
     pub fn load(&mut self, image: &Image) -> Result<LoadedImage, Fault> {
         let size = image.size();
         let mut base = self.next_base;
@@ -443,20 +452,26 @@ impl Machine {
             let slide_pages = self.rng.next_u64() % 256;
             base += slide_pages * PAGE_SIZE;
         }
-        if base + size >= self.heap_next.min(self.stack_lo) {
-            return Err(Fault::Mem(crate::mem::MemFault {
-                addr: base,
-                kind: crate::mem::AccessKind::Write,
-            }));
+        let load_fault = |addr: u64| {
+            Fault::Mem(crate::mem::MemFault { addr, kind: crate::mem::AccessKind::Write })
+        };
+        if base
+            .checked_add(size)
+            .is_none_or(|end| end >= self.heap_next.min(self.stack_lo))
+        {
+            return Err(load_fault(base));
+        }
+        // `base + size` fits, so every in-image address below is in range.
+        if let Some(seg) = image.segments.iter().find(|s| s.offset % PAGE_SIZE != 0) {
+            return Err(load_fault(base + seg.offset));
+        }
+        if let Some(reloc) = image.relocs.iter().find(|r| {
+            r.at.checked_add(r.kind.width()).is_none_or(|end| end > size)
+        }) {
+            return Err(load_fault(base.wrapping_add(reloc.at)));
         }
         let mut exec_ranges = Vec::new();
         for seg in &image.segments {
-            assert_eq!(
-                seg.offset % PAGE_SIZE,
-                0,
-                "segment {} is not page-aligned",
-                seg.name
-            );
             let addr = base + seg.offset;
             self.mem.poke(addr, &seg.bytes);
             let perms = if self.cfg.protect.dep {
@@ -472,7 +487,10 @@ impl Machine {
         }
         for reloc in &image.relocs {
             let field = base + reloc.at;
-            let target = base + reloc.addend;
+            // Targets and symbols are plain guest addresses: one outside
+            // the image wraps instead of overflowing, and faults only if
+            // the guest uses it.
+            let target = base.wrapping_add(reloc.addend);
             match reloc.kind {
                 crate::image::RelocKind::Imm32 => {
                     self.mem.poke(field, &(target as u32).to_le_bytes());
@@ -483,11 +501,11 @@ impl Machine {
             }
         }
         let symbols: BTreeMap<String, u64> =
-            image.symbols.iter().map(|(k, v)| (k.clone(), base + v)).collect();
+            image.symbols.iter().map(|(k, v)| (k.clone(), base.wrapping_add(*v))).collect();
         let li = LoadedImage {
             name: image.name.clone(),
             base,
-            entry: base + image.entry,
+            entry: base.wrapping_add(image.entry),
             symbols,
             exec_ranges,
         };
@@ -532,12 +550,17 @@ impl Machine {
     /// argument area and passing it as `(r1 = ptr, r2 = len)` — the
     /// machine's `argv[1]`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `arg` exceeds the argument area.
+    /// An `arg` that does not fit the argument area with its NUL
+    /// terminator (`arg.len() >= ARG_SIZE`) is not copied: the machine is
+    /// left stopped with [`Fault::ArgTooLarge`], which the next
+    /// [`Machine::run_until`], [`Machine::step`] or [`Machine::run`]
+    /// returns.
     pub fn start_with_arg(&mut self, entry: u64, arg: &[u8]) {
-        assert!((arg.len() as u64) < ARG_SIZE, "argument too large");
         self.start(entry);
+        if arg.len() as u64 >= ARG_SIZE {
+            self.stop_fault(Fault::ArgTooLarge { len: arg.len() as u64 });
+            return;
+        }
         self.mem.poke(ARG_BASE, arg);
         // NUL-terminate for C-string style consumers.
         self.mem.poke(ARG_BASE + arg.len() as u64, &[0]);
@@ -678,24 +701,54 @@ impl Machine {
     // Execution
     // ---------------------------------------------------------------
 
-    /// Runs until the guest halts, exits or faults.
+    /// Runs until the guest halts, exits or faults: [`Machine::run_until`]
+    /// with no cycle limit, plus the run's telemetry.
     pub fn run(&mut self) -> RunOutcome {
         let mut span = telemetry::span("sim.run");
-        loop {
-            if let StepStatus::Done(exit) = self.step() {
-                if span.is_recording() {
-                    span.field("exit", format!("{exit:?}"))
-                        .field("instructions", self.retired)
-                        .field("cycles", self.cycle);
-                    self.emit_telemetry();
+        // `None` would mean the cycle counter reached `u64::MAX`.
+        let exit = loop {
+            if let Some(exit) = self.run_until(u64::MAX) {
+                break exit;
+            }
+        };
+        if span.is_recording() {
+            span.field("exit", format!("{exit:?}"))
+                .field("instructions", self.retired)
+                .field("cycles", self.cycle);
+            self.emit_telemetry();
+        }
+        RunOutcome { exit, instructions: self.retired, cycles: self.cycle }
+    }
+
+    /// Steps while [`Machine::cycles`] is below `cycle_limit`; returns
+    /// `Some(exit)` once the machine has stopped (on this call or an
+    /// earlier one), `None` when the limit was reached first.
+    ///
+    /// Equivalent to calling [`Machine::step`] while `cycles() <
+    /// cycle_limit` and the machine runs, instruction for instruction and
+    /// counter for counter, so a sampler can read [`Machine::pmu`] at each
+    /// window boundary exactly as it could between steps. A limit at or
+    /// below `cycles()` executes nothing.
+    pub fn run_until(&mut self, cycle_limit: u64) -> Option<ExitReason> {
+        if self.cfg.fast_path {
+            self.run_until_on::<true>(cycle_limit)
+        } else {
+            self.run_until_on::<false>(cycle_limit)
+        }
+    }
+
+    /// The one step loop, instantiated once per path so the hot loop
+    /// never tests `cfg.fast_path`.
+    fn run_until_on<const FAST: bool>(&mut self, cycle_limit: u64) -> Option<ExitReason> {
+        if self.stopped.is_none() {
+            let max_instructions = self.cfg.max_instructions;
+            while self.cycle < cycle_limit {
+                if self.step_once::<FAST>(max_instructions).is_err() {
+                    break;
                 }
-                return RunOutcome {
-                    exit,
-                    instructions: self.retired,
-                    cycles: self.cycle,
-                };
             }
         }
+        self.stopped.clone()
     }
 
     /// Publishes this machine's cumulative PMU and cache activity to the
@@ -729,24 +782,26 @@ impl Machine {
     /// `(pc, instruction)` executed — the debugger's trace view. Stops at
     /// the limit or when the machine stops, returning the trace.
     pub fn run_traced(&mut self, limit: usize) -> Vec<(u64, Instr)> {
+        if self.cfg.fast_path {
+            self.run_traced_on::<true>(limit)
+        } else {
+            self.run_traced_on::<false>(limit)
+        }
+    }
+
+    fn run_traced_on<const FAST: bool>(&mut self, limit: usize) -> Vec<(u64, Instr)> {
         let mut trace = Vec::with_capacity(limit.min(4096));
         for _ in 0..limit {
             let pc = self.pc;
-            // Peek: decode without microarchitectural effects — the `step`
+            // Peek: decode without microarchitectural effects — the step
             // below performs the real fetch.
-            let decoded = self.fetch_decode(pc, FetchMode::Peek).ok();
-            match self.step() {
-                StepStatus::Running => {
-                    if let Some(instr) = decoded {
-                        trace.push((pc, instr));
-                    }
-                }
-                StepStatus::Done(_) => {
-                    if let Some(instr) = decoded {
-                        trace.push((pc, instr));
-                    }
-                    break;
-                }
+            let decoded = self.fetch_decode::<FAST>(pc, FetchMode::Peek).ok();
+            let running = self.step_checked::<FAST>().is_ok();
+            if let Some(instr) = decoded {
+                trace.push((pc, instr));
+            }
+            if !running {
+                break;
             }
         }
         trace
@@ -757,39 +812,71 @@ impl Machine {
     ///
     /// On the fast path, batched counters are settled lazily when the PMU
     /// is observed ([`Machine::pmu`]), so samplers reading it between
-    /// steps — the HPC profiler — observe exact totals without the hot
-    /// loop paying a per-step mirror cost. The slow path reconciles the
-    /// eviction mirror every step, as the reference implementation did.
+    /// steps observe exact totals without the hot loop paying a per-step
+    /// mirror cost. The slow path reconciles the eviction mirror every
+    /// step, as the reference implementation did.
     pub fn step(&mut self) -> StepStatus {
-        if let Some(exit) = &self.stopped {
-            return StepStatus::Done(exit.clone());
+        // A step fails exactly when it leaves the machine stopped.
+        let _ = if self.cfg.fast_path {
+            self.step_checked::<true>()
+        } else {
+            self.step_checked::<false>()
+        };
+        match &self.stopped {
+            Some(exit) => StepStatus::Done(exit.clone()),
+            None => StepStatus::Running,
         }
-        if self.retired >= self.cfg.max_instructions {
-            return self.stop_fault(Fault::MaxInstructions);
-        }
-        let status = self.step_inner();
-        if !self.cfg.fast_path {
-            self.sync_eviction_counter();
-        }
-        status
     }
 
-    fn step_inner(&mut self) -> StepStatus {
+    /// One step of a machine that may already have stopped (the public
+    /// single-step entries; the window loop checks once, up front).
+    #[inline(never)]
+    fn step_checked<const FAST: bool>(&mut self) -> Result<(), Stopped> {
+        if self.stopped.is_some() {
+            return Err(Stopped);
+        }
+        self.step_once::<FAST>(self.cfg.max_instructions)
+    }
+
+    /// One step of a running machine: the instruction budget check, then
+    /// fetch, decode and execute.
+    #[inline(always)]
+    fn step_once<const FAST: bool>(&mut self, max_instructions: u64) -> Result<(), Stopped> {
+        if self.retired >= max_instructions {
+            return Err(self.stop_fault(Fault::MaxInstructions));
+        }
+        let result = self.step_inner::<FAST>();
+        if !FAST {
+            self.sync_eviction_counter();
+        }
+        result
+    }
+
+    #[inline(always)]
+    fn step_inner<const FAST: bool>(&mut self) -> Result<(), Stopped> {
         let pc = self.pc;
-        let instr = match self.fetch_decode(pc, FetchMode::Step) {
+        let instr = match self.fetch_decode::<FAST>(pc, FetchMode::Step) {
             Ok(instr) => instr,
-            Err(FetchFail::Mem(fault)) => {
-                self.pmu.incr(HpcEvent::PageFaults);
-                return self.stop_fault(Fault::Mem(fault));
-            }
-            Err(FetchFail::Decode) => return self.stop_fault(Fault::Decode { pc }),
+            Err(fail) => return Err(self.fetch_fault(pc, fail)),
         };
         self.retired += 1;
-        if !self.cfg.fast_path {
+        if !FAST {
             self.pmu.incr(HpcEvent::Instructions);
             self.instrs_flushed.set(self.retired);
         }
-        self.exec(pc, instr)
+        self.exec::<FAST>(pc, instr)
+    }
+
+    /// Stops the machine on a failed architectural fetch.
+    #[cold]
+    fn fetch_fault(&mut self, pc: u64, fail: FetchFail) -> Stopped {
+        match fail {
+            FetchFail::Mem(fault) => {
+                self.pmu.incr(HpcEvent::PageFaults);
+                self.stop_fault(Fault::Mem(fault))
+            }
+            FetchFail::Decode => self.stop_fault(Fault::Decode { pc }),
+        }
     }
 
     /// The single fetch+decode choke point shared by `step`, `speculate`
@@ -800,33 +887,48 @@ impl Machine {
     /// error reports after it. A predecode-cache hit short-circuits both
     /// the permission walk and the decode, which is sound because every
     /// code mutation (`poke`, store to an executable page, `set_perms`)
-    /// moves [`Memory::code_epoch`] and drops the cache.
-    fn fetch_decode(&mut self, pc: u64, mode: FetchMode) -> Result<Instr, FetchFail> {
-        let fast = self.cfg.fast_path;
-        if fast {
-            if self.dcache.epoch != self.mem.code_epoch() {
-                self.dcache.clear(self.mem.code_epoch());
-            } else {
-                let slot = DecodeCache::slot(pc);
-                if self.dcache.tags[slot] == pc {
-                    let instr = self.dcache.instrs[slot];
-                    if mode != FetchMode::Peek
-                        && !self.icoal.note(pc & self.icoal.line_mask)
-                    {
-                        // Untracked line: take the full fetch-count path.
-                        self.count_instr_fetch(pc, mode);
-                    }
-                    return Ok(instr);
+    /// moves [`Memory::code_epoch`] and drops the cache. The hit stays
+    /// inline in the step loop; everything else is
+    /// [`Machine::fetch_decode_miss`].
+    #[inline(always)]
+    fn fetch_decode<const FAST: bool>(
+        &mut self,
+        pc: u64,
+        mode: FetchMode,
+    ) -> Result<Instr, FetchFail> {
+        if FAST {
+            let slot = DecodeCache::slot(pc);
+            if self.dcache.tags[slot] == pc && self.dcache.epoch == self.mem.code_epoch() {
+                let instr = self.dcache.instrs[slot];
+                if mode != FetchMode::Peek && !self.icoal.note(pc & self.icoal.line_mask) {
+                    self.count_untracked_fetch(pc, mode);
                 }
+                return Ok(instr);
             }
+        }
+        self.fetch_decode_miss::<FAST>(pc, mode)
+    }
+
+    /// Decode-cache miss (or the reference path): drop a stale cache,
+    /// fetch through the permission check, count the icache access,
+    /// decode, and refill the slot.
+    #[cold]
+    #[inline(never)]
+    fn fetch_decode_miss<const FAST: bool>(
+        &mut self,
+        pc: u64,
+        mode: FetchMode,
+    ) -> Result<Instr, FetchFail> {
+        if FAST && self.dcache.epoch != self.mem.code_epoch() {
+            self.dcache.clear(self.mem.code_epoch());
         }
         let mut bytes = [0u8; INSTR_BYTES];
         self.mem.fetch(pc, &mut bytes).map_err(FetchFail::Mem)?;
         if mode != FetchMode::Peek {
-            self.count_instr_fetch(pc, mode);
+            self.count_instr_fetch::<FAST>(pc, mode);
         }
         let instr = Instr::decode(&bytes).map_err(|_| FetchFail::Decode)?;
-        if fast {
+        if FAST {
             let slot = DecodeCache::slot(pc);
             self.dcache.tags[slot] = pc;
             self.dcache.instrs[slot] = instr;
@@ -840,42 +942,17 @@ impl Machine {
     /// construction (tracked lines stay resident — only hits happen
     /// between batch applications, and hits never evict), so they bypass
     /// the cache model entirely and coalesce into deferred bulk-hits.
-    /// An untracked-but-resident line joins the table via a read-only
-    /// probe; a genuine miss applies the batch, runs the real access,
-    /// and (for architectural fetches) pays the miss latency immediately
-    /// since it orders the rest of the step. Non-coalesced L1i counter
-    /// updates are batched into `pend_l1i`.
+    /// Other fetches go to [`Machine::count_untracked_fetch`].
     ///
     /// Slow path: the seed implementation — a full cache-model access
     /// and immediate PMU increments per fetch.
-    fn count_instr_fetch(&mut self, pc: u64, mode: FetchMode) {
-        if self.cfg.fast_path {
-            let line = pc & self.icoal.line_mask;
+    #[inline(always)]
+    fn count_instr_fetch<const FAST: bool>(&mut self, pc: u64, mode: FetchMode) {
+        if FAST {
             // One counter bump covers the model hit and both PMU
             // events; the split happens at apply/flush time.
-            if self.icoal.note(line) {
-                return;
-            }
-            let mut slot = self.icoal.free_slot();
-            if slot.is_none() {
-                self.apply_pending_ifetches();
-                slot = Some(0);
-            }
-            if self.caches.l1i_probe(line) {
-                self.icoal.insert_hit(slot.expect("slot freed above"), line);
-                return;
-            }
-            self.apply_pending_ifetches();
-            let fetch = self.caches.access_instr(pc);
-            self.icoal.insert_seeded(0, line);
-            bump(&self.pend_l1i[0]);
-            if fetch.l1_hit {
-                bump(&self.pend_l1i[1]);
-            } else {
-                bump(&self.pend_l1i[2]);
-                if mode == FetchMode::Step {
-                    self.tick(fetch.latency);
-                }
+            if !self.icoal.note(pc & self.icoal.line_mask) {
+                self.count_untracked_fetch(pc, mode);
             }
         } else {
             let fetch = self.caches.access_instr(pc);
@@ -885,8 +962,39 @@ impl Machine {
             } else {
                 self.pmu.incr(HpcEvent::L1iMiss);
                 if mode == FetchMode::Step {
-                    self.tick(fetch.latency);
+                    self.tick::<false>(fetch.latency);
                 }
+            }
+        }
+    }
+
+    /// Fast-path fetch on a line the coalescer does not track. A resident
+    /// line joins the table via a read-only probe; a genuine miss applies
+    /// the batch, runs the real access, and (for architectural fetches)
+    /// pays the miss latency immediately since it orders the rest of the
+    /// step. Non-coalesced L1i counter updates are batched into
+    /// `pend_l1i`.
+    fn count_untracked_fetch(&mut self, pc: u64, mode: FetchMode) {
+        let line = pc & self.icoal.line_mask;
+        let mut slot = self.icoal.free_slot();
+        if slot.is_none() {
+            self.apply_pending_ifetches();
+            slot = Some(0);
+        }
+        if self.caches.l1i_probe(line) {
+            self.icoal.insert_hit(slot.expect("slot freed above"), line);
+            return;
+        }
+        self.apply_pending_ifetches();
+        let fetch = self.caches.access_instr(pc);
+        self.icoal.insert_seeded(0, line);
+        bump(&self.pend_l1i[0]);
+        if fetch.l1_hit {
+            bump(&self.pend_l1i[1]);
+        } else {
+            bump(&self.pend_l1i[2]);
+            if mode == FetchMode::Step {
+                self.tick::<true>(fetch.latency);
             }
         }
     }
@@ -973,37 +1081,47 @@ impl Machine {
         }
     }
 
-    fn stop(&mut self, exit: ExitReason) -> StepStatus {
+    /// Records why the machine stopped; the returned token is the `Err`
+    /// of every step helper.
+    fn stop(&mut self, exit: ExitReason) -> Stopped {
         self.apply_pending_ifetches();
         self.apply_pending_dfetches();
-        self.stopped = Some(exit.clone());
-        StepStatus::Done(exit)
+        self.stopped = Some(exit);
+        Stopped
     }
 
-    fn stop_fault(&mut self, fault: Fault) -> StepStatus {
+    fn stop_fault(&mut self, fault: Fault) -> Stopped {
         self.stop(ExitReason::Fault(fault))
+    }
+
+    /// Stops on a fault raised by a data access of the current step.
+    #[cold]
+    fn page_fault(&mut self, fault: Fault) -> Stopped {
+        self.pmu.incr(HpcEvent::PageFaults);
+        self.stop_fault(fault)
     }
 
     /// Advances time. On the fast path the [`HpcEvent::Cycles`] mirror is
     /// updated lazily by [`Machine::flush_pending_counters`] when the PMU
     /// is next observed; the slow path mirrors immediately, like the
     /// reference implementation always did.
-    #[inline]
-    fn tick(&mut self, n: u64) {
+    #[inline(always)]
+    fn tick<const FAST: bool>(&mut self, n: u64) {
         self.cycle += n;
-        if !self.cfg.fast_path {
+        if !FAST {
             self.pmu.add(HpcEvent::Cycles, n);
             self.cycles_flushed.set(self.cycle);
         }
     }
 
     /// Stalls until every register in `rs` holds a ready value.
-    fn wait_ready(&mut self, rs: &[Reg]) {
+    #[inline(always)]
+    fn wait_ready<const FAST: bool>(&mut self, rs: &[Reg]) {
         let ready = rs.iter().map(|r| self.reg_ready[r.index()]).max().unwrap_or(0);
         if ready > self.cycle {
             let stall = ready - self.cycle;
             self.pmu.add(HpcEvent::StallCyclesMem, stall);
-            self.tick(stall);
+            self.tick::<FAST>(stall);
         }
     }
 
@@ -1048,8 +1166,13 @@ impl Machine {
     ///
     /// Slow path: the seed implementation — a full cache-model access and
     /// immediate PMU increments per access.
-    fn data_access(&mut self, addr: u64, write: bool) -> crate::cache::AccessResult {
-        if self.cfg.fast_path {
+    #[inline(always)]
+    fn data_access<const FAST: bool>(
+        &mut self,
+        addr: u64,
+        write: bool,
+    ) -> crate::cache::AccessResult {
+        if FAST {
             let hit = crate::cache::AccessResult {
                 latency: self.l1d_hit_latency,
                 l1_hit: true,
@@ -1080,79 +1203,90 @@ impl Machine {
         }
     }
 
-    fn load_value(&mut self, addr: u64, width: Width) -> Result<(u64, u64), Fault> {
+    #[inline(always)]
+    fn load_value<const FAST: bool>(
+        &mut self,
+        addr: u64,
+        width: Width,
+    ) -> Result<(u64, u64), Fault> {
         let value = match width {
             Width::B => self.mem.read_u8(addr)? as u64,
             Width::W => self.mem.read_u32(addr)? as u64,
             Width::D => self.mem.read_u64(addr)?,
         };
-        let result = self.data_access(addr, false);
+        let result = self.data_access::<FAST>(addr, false);
         Ok((value, result.latency))
     }
 
-    fn store_value(&mut self, addr: u64, width: Width, value: u64) -> Result<(), Fault> {
+    #[inline(always)]
+    fn store_value<const FAST: bool>(
+        &mut self,
+        addr: u64,
+        width: Width,
+        value: u64,
+    ) -> Result<(), Fault> {
         match width {
             Width::B => self.mem.write_u8(addr, value as u8)?,
             Width::W => self.mem.write_u32(addr, value as u32)?,
             Width::D => self.mem.write_u64(addr, value)?,
         }
-        self.data_access(addr, true);
+        self.data_access::<FAST>(addr, true);
         Ok(())
     }
 
-    fn exec(&mut self, pc: u64, instr: Instr) -> StepStatus {
+    /// Executes one decoded instruction at `pc` (inlined into the step
+    /// loop). `Err` means the instruction stopped the machine.
+    #[inline(always)]
+    fn exec<const FAST: bool>(&mut self, pc: u64, instr: Instr) -> Result<(), Stopped> {
         let mut next_pc = pc.wrapping_add(INSTR_BYTES as u64);
         match instr {
-            Instr::Nop => self.tick(1),
+            Instr::Nop => self.tick::<FAST>(1),
             Instr::Halt => {
-                self.tick(1);
-                return self.stop(ExitReason::Halted);
+                self.tick::<FAST>(1);
+                return Err(self.stop(ExitReason::Halted));
             }
             Instr::Ldi(rd, imm) => {
                 self.regs[rd.index()] = imm as i64 as u64;
                 self.reg_ready[rd.index()] = self.cycle;
                 self.pmu.incr(HpcEvent::MovOps);
-                self.tick(1);
+                self.tick::<FAST>(1);
             }
             Instr::Ldih(rd, imm) => {
-                self.wait_ready(&[rd]);
+                self.wait_ready::<FAST>(&[rd]);
                 let low = self.regs[rd.index()] & 0xffff_ffff;
                 self.regs[rd.index()] = ((imm as u32 as u64) << 32) | low;
                 self.reg_ready[rd.index()] = self.cycle;
                 self.pmu.incr(HpcEvent::MovOps);
-                self.tick(1);
+                self.tick::<FAST>(1);
             }
             Instr::Mov(rd, rs) => {
-                self.wait_ready(&[rs]);
+                self.wait_ready::<FAST>(&[rs]);
                 self.regs[rd.index()] = self.regs[rs.index()];
                 self.reg_ready[rd.index()] = self.cycle;
                 self.pmu.incr(HpcEvent::MovOps);
-                self.tick(1);
+                self.tick::<FAST>(1);
             }
             Instr::Alu(op, rd, rs1, rs2) => {
-                self.wait_ready(&[rs1, rs2]);
+                self.wait_ready::<FAST>(&[rs1, rs2]);
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], self.regs[rs2.index()]);
                 self.count_alu(op);
-                self.tick(alu_latency(op));
+                self.tick::<FAST>(alu_latency(op));
                 self.reg_ready[rd.index()] = self.cycle;
             }
             Instr::Alui(op, rd, rs1, imm) => {
-                self.wait_ready(&[rs1]);
+                self.wait_ready::<FAST>(&[rs1]);
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], imm as i64 as u64);
                 self.pmu.incr(HpcEvent::AluImmOps);
                 self.count_alu(op);
-                self.tick(alu_latency(op));
+                self.tick::<FAST>(alu_latency(op));
                 self.reg_ready[rd.index()] = self.cycle;
             }
             Instr::Ld(w, rd, rs1, imm) => {
-                self.wait_ready(&[rs1]);
+                self.wait_ready::<FAST>(&[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                let (value, latency) = match self.load_value(addr, w) {
+                let (value, latency) = match self.load_value::<FAST>(addr, w) {
                     Ok(v) => v,
-                    Err(fault) => {
-                        self.pmu.incr(HpcEvent::PageFaults);
-                        return self.stop_fault(fault);
-                    }
+                    Err(fault) => return Err(self.page_fault(fault)),
                 };
                 self.pmu.incr(HpcEvent::Loads);
                 match w {
@@ -1161,7 +1295,7 @@ impl Machine {
                     Width::W => {}
                 }
                 self.regs[rd.index()] = value;
-                self.tick(1);
+                self.tick::<FAST>(1);
                 // InvisiSpec: every committed load re-validates against
                 // the speculative buffer before exposure.
                 let penalty = if self.cfg.protect.invisispec {
@@ -1173,14 +1307,13 @@ impl Machine {
                 self.reg_ready[rd.index()] = self.cycle + latency + penalty;
             }
             Instr::St(w, rs1, rs2, imm) => {
-                self.wait_ready(&[rs1, rs2]);
+                self.wait_ready::<FAST>(&[rs1, rs2]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                if let Err(fault) = self.store_value(addr, w, self.regs[rs2.index()]) {
-                    self.pmu.incr(HpcEvent::PageFaults);
-                    return self.stop_fault(fault);
+                if let Err(fault) = self.store_value::<FAST>(addr, w, self.regs[rs2.index()]) {
+                    return Err(self.page_fault(fault));
                 }
                 self.pmu.incr(HpcEvent::Stores);
-                self.tick(1);
+                self.tick::<FAST>(1);
             }
             Instr::Br(cond, rs1, rs2, imm) => {
                 let taken = cond.holds(self.regs[rs1.index()], self.regs[rs2.index()]);
@@ -1202,22 +1335,22 @@ impl Machine {
                     // until it actually resolves.
                     let stall = resolve_at.saturating_sub(self.cycle);
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick(stall);
+                    self.tick::<FAST>(stall);
                     self.pmu.incr(HpcEvent::Fences);
-                    self.tick(self.cfg.csf_fence_penalty);
+                    self.tick::<FAST>(self.cfg.csf_fence_penalty);
                     if predicted != taken {
                         self.pmu.incr(HpcEvent::BranchMispredicts);
                     }
                 } else if predicted == taken {
-                    self.tick(1);
+                    self.tick::<FAST>(1);
                 } else {
                     self.pmu.incr(HpcEvent::BranchMispredicts);
                     let wrong = if predicted { target } else { next_pc };
                     let budget = resolve_at.saturating_sub(self.cycle);
-                    self.speculate(wrong, budget);
+                    self.speculate::<FAST>(wrong, budget);
                     let stall = resolve_at.saturating_sub(self.cycle) + self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick(stall);
+                    self.tick::<FAST>(stall);
                 }
                 if taken {
                     next_pc = target;
@@ -1226,7 +1359,7 @@ impl Machine {
             Instr::Jmp(imm) => {
                 self.pmu.incr(HpcEvent::BranchInstrs);
                 self.pmu.incr(HpcEvent::Jumps);
-                self.tick(1);
+                self.tick::<FAST>(1);
                 next_pc = pc.wrapping_add(imm as i64 as u64);
             }
             Instr::JmpR(rs) => {
@@ -1234,47 +1367,43 @@ impl Machine {
                 self.pmu.incr(HpcEvent::IndirectBranches);
                 let predicted = self.pred.btb.predict(pc);
                 let resolve_at = self.resolve_cycle(&[rs]);
-                self.wait_ready(&[rs]);
+                self.wait_ready::<FAST>(&[rs]);
                 let target = self.regs[rs.index()];
                 self.pred.btb.update(pc, target);
                 if predicted == Some(target) {
-                    self.tick(1);
+                    self.tick::<FAST>(1);
                 } else {
                     self.pmu.incr(HpcEvent::BtbMispredicts);
                     self.pmu.incr(HpcEvent::BranchMispredicts);
                     if let Some(wrong) = predicted {
                         if !self.cfg.protect.csf {
                             let budget = resolve_at.saturating_sub(self.cycle);
-                            self.speculate(wrong, budget);
+                            self.speculate::<FAST>(wrong, budget);
                         }
                     }
                     let stall = self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick(stall);
+                    self.tick::<FAST>(stall);
                 }
                 next_pc = target;
             }
             Instr::Call(imm) => {
                 let ret = next_pc;
-                if let Err(status) = self.push_u64(ret) {
-                    return status;
-                }
+                self.push_u64::<FAST>(ret)?;
                 self.pred.rsb.push(ret);
                 if self.cfg.protect.shadow_stack {
                     self.shadow_stack.push(ret);
                 }
                 self.pmu.incr(HpcEvent::BranchInstrs);
                 self.pmu.incr(HpcEvent::Calls);
-                self.tick(1);
+                self.tick::<FAST>(1);
                 next_pc = pc.wrapping_add(imm as i64 as u64);
             }
             Instr::CallR(rs) => {
-                self.wait_ready(&[rs]);
+                self.wait_ready::<FAST>(&[rs]);
                 let target = self.regs[rs.index()];
                 let ret = next_pc;
-                if let Err(status) = self.push_u64(ret) {
-                    return status;
-                }
+                self.push_u64::<FAST>(ret)?;
                 self.pred.rsb.push(ret);
                 if self.cfg.protect.shadow_stack {
                     self.shadow_stack.push(ret);
@@ -1287,18 +1416,15 @@ impl Machine {
                 if predicted != Some(target) {
                     self.pmu.incr(HpcEvent::BtbMispredicts);
                 }
-                self.tick(1);
+                self.tick::<FAST>(1);
                 next_pc = target;
             }
             Instr::Ret => {
-                self.wait_ready(&[Reg::SP]);
+                self.wait_ready::<FAST>(&[Reg::SP]);
                 let sp = self.regs[Reg::SP.index()];
-                let (target, latency) = match self.load_value(sp, Width::D) {
+                let (target, latency) = match self.load_value::<FAST>(sp, Width::D) {
                     Ok(v) => v,
-                    Err(fault) => {
-                        self.pmu.incr(HpcEvent::PageFaults);
-                        return self.stop_fault(fault);
-                    }
+                    Err(fault) => return Err(self.page_fault(fault)),
                 };
                 self.regs[Reg::SP.index()] = sp.wrapping_add(8);
                 self.pmu.incr(HpcEvent::BranchInstrs);
@@ -1306,7 +1432,7 @@ impl Machine {
                 let predicted = self.pred.rsb.pop();
                 let resolve_at = self.cycle + latency + BRANCH_RESOLVE_EXTRA;
                 if predicted == Some(target) {
-                    self.tick(1);
+                    self.tick::<FAST>(1);
                 } else {
                     // RSB mispredict: transiently execute at the stale
                     // predicted return address (the Spectre-RSB surface; a
@@ -1316,57 +1442,52 @@ impl Machine {
                     if let Some(wrong) = predicted {
                         if !self.cfg.protect.csf {
                             let budget = resolve_at.saturating_sub(self.cycle);
-                            self.speculate(wrong, budget);
+                            self.speculate::<FAST>(wrong, budget);
                         }
                     }
                     let stall = resolve_at.saturating_sub(self.cycle) + self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick(stall);
+                    self.tick::<FAST>(stall);
                 }
                 if self.cfg.protect.shadow_stack {
                     let expected = self.shadow_stack.pop().unwrap_or(0);
                     if expected != target {
-                        return self.stop_fault(Fault::ShadowStack { expected, got: target });
+                        return Err(self.stop_fault(Fault::ShadowStack { expected, got: target }));
                     }
                 }
                 next_pc = target;
             }
             Instr::Push(rs) => {
-                self.wait_ready(&[rs, Reg::SP]);
+                self.wait_ready::<FAST>(&[rs, Reg::SP]);
                 let value = self.regs[rs.index()];
-                if let Err(status) = self.push_u64(value) {
-                    return status;
-                }
+                self.push_u64::<FAST>(value)?;
                 self.pmu.incr(HpcEvent::Pushes);
-                self.tick(1);
+                self.tick::<FAST>(1);
             }
             Instr::Pop(rd) => {
-                self.wait_ready(&[Reg::SP]);
+                self.wait_ready::<FAST>(&[Reg::SP]);
                 let sp = self.regs[Reg::SP.index()];
-                let (value, latency) = match self.load_value(sp, Width::D) {
+                let (value, latency) = match self.load_value::<FAST>(sp, Width::D) {
                     Ok(v) => v,
-                    Err(fault) => {
-                        self.pmu.incr(HpcEvent::PageFaults);
-                        return self.stop_fault(fault);
-                    }
+                    Err(fault) => return Err(self.page_fault(fault)),
                 };
                 self.regs[rd.index()] = value;
                 self.regs[Reg::SP.index()] = sp.wrapping_add(8);
                 self.pmu.incr(HpcEvent::Pops);
-                self.tick(1);
+                self.tick::<FAST>(1);
                 self.reg_ready[rd.index()] = self.cycle + latency;
             }
             Instr::ClFlush(rs1, imm) => {
                 if !self.cfg.protect.clflush_enabled {
-                    return self.stop_fault(Fault::ClflushDisabled);
+                    return Err(self.stop_fault(Fault::ClflushDisabled));
                 }
-                self.wait_ready(&[rs1]);
+                self.wait_ready::<FAST>(&[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
                 self.apply_pending_ifetches();
                 self.apply_pending_dfetches();
                 self.caches.flush_line(addr);
                 self.pmu.incr(HpcEvent::Flushes);
-                self.tick(4);
+                self.tick::<FAST>(4);
             }
             Instr::MFence => {
                 // Serialize: wait for every in-flight value.
@@ -1374,38 +1495,33 @@ impl Machine {
                 if ready > self.cycle {
                     let stall = ready - self.cycle;
                     self.pmu.add(HpcEvent::StallCyclesMem, stall);
-                    self.tick(stall);
+                    self.tick::<FAST>(stall);
                 }
                 self.pmu.incr(HpcEvent::Fences);
-                self.tick(3);
+                self.tick::<FAST>(3);
             }
             Instr::Rdtsc(rd) => {
                 self.regs[rd.index()] = self.cycle;
                 self.reg_ready[rd.index()] = self.cycle;
                 self.pmu.incr(HpcEvent::Rdtscs);
-                self.tick(1);
+                self.tick::<FAST>(1);
             }
             Instr::Syscall => {
                 // Serializing instruction.
                 let ready = self.reg_ready.iter().copied().max().unwrap_or(0);
                 if ready > self.cycle {
                     let stall = ready - self.cycle;
-                    self.tick(stall);
+                    self.tick::<FAST>(stall);
                 }
                 self.pmu.incr(HpcEvent::Syscalls);
-                self.tick(SYSCALL_COST);
-                match self.do_syscall(next_pc) {
-                    Ok(Some(new_pc)) => next_pc = new_pc,
-                    Ok(None) => {}
-                    Err(status) => return status,
-                }
-                if self.stopped.is_some() {
-                    return StepStatus::Done(self.stopped.clone().expect("just set"));
+                self.tick::<FAST>(SYSCALL_COST);
+                if let Some(new_pc) = self.do_syscall(next_pc)? {
+                    next_pc = new_pc;
                 }
             }
         }
         self.pc = next_pc;
-        StepStatus::Running
+        Ok(())
     }
 
     fn count_alu(&mut self, op: AluOp) {
@@ -1418,17 +1534,20 @@ impl Machine {
         }
     }
 
-    fn push_u64(&mut self, value: u64) -> Result<(), StepStatus> {
+    #[inline(always)]
+    fn push_u64<const FAST: bool>(&mut self, value: u64) -> Result<(), Stopped> {
         let sp = self.regs[Reg::SP.index()].wrapping_sub(8);
-        if let Err(fault) = self.store_value(sp, Width::D, value) {
-            self.pmu.incr(HpcEvent::PageFaults);
-            return Err(self.stop_fault(fault));
+        if let Err(fault) = self.store_value::<FAST>(sp, Width::D, value) {
+            return Err(self.page_fault(fault));
         }
         self.regs[Reg::SP.index()] = sp;
         Ok(())
     }
 
-    fn do_syscall(&mut self, return_pc: u64) -> Result<Option<u64>, StepStatus> {
+    /// Runs the system call in `r0`; `Ok(Some(pc))` redirects the
+    /// return, `Err` means the call stopped the machine. It never reads
+    /// the path flag, so it has one instantiation for both paths.
+    fn do_syscall(&mut self, return_pc: u64) -> Result<Option<u64>, Stopped> {
         let nr = self.regs[Reg::R0.index()];
         match nr {
             sys::EXIT => {
@@ -1447,8 +1566,7 @@ impl Machine {
                     self.regs[Reg::R0.index()] = code;
                     Ok(Some(ret))
                 } else {
-                    self.stop(ExitReason::Exited(code));
-                    Ok(None)
+                    Err(self.stop(ExitReason::Exited(code)))
                 }
             }
             sys::WRITE => {
@@ -1501,13 +1619,18 @@ impl Machine {
     /// for building custom transient-execution experiments and for
     /// property-testing the squash invariant.
     pub fn speculate_at(&mut self, start: u64, budget: u64) {
-        self.speculate(start, budget);
+        if self.cfg.fast_path {
+            self.speculate::<true>(start, budget);
+        } else {
+            self.speculate::<false>(start, budget);
+        }
     }
 
     /// Executes the wrong path transiently for up to `budget` cycles (and
     /// at most `spec_window` instructions), then squashes. Architectural
     /// effects are discarded; cache and PMU cache-event effects persist.
-    fn speculate(&mut self, start: u64, budget: u64) {
+    #[inline(never)]
+    fn speculate<const FAST: bool>(&mut self, start: u64, budget: u64) {
         let mut regs = self.regs;
         // Spec-relative readiness (cycle 0 = entry into speculation).
         let mut ready = [0u64; 16];
@@ -1525,7 +1648,7 @@ impl Machine {
             // Transient fetches still fill the instruction cache
             // (`FetchMode::Spec`); a fetch fault is suppressed, a decode
             // failure just ends the transient path.
-            let instr = match self.fetch_decode(pc, FetchMode::Spec) {
+            let instr = match self.fetch_decode::<FAST>(pc, FetchMode::Spec) {
                 Ok(instr) => instr,
                 Err(FetchFail::Mem(_)) => {
                     suppressed += 1;
@@ -1571,7 +1694,7 @@ impl Machine {
                 Instr::Ld(w, rd, rs1, imm) => {
                     scycle = scycle.max(wait(&ready, &[rs1]));
                     let addr = regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                    match self.spec_load(addr, w, &store_buf) {
+                    match self.spec_load::<FAST>(addr, w, &store_buf) {
                         Some((value, latency)) => {
                             loads += 1;
                             regs[rd.index()] = value;
@@ -1594,7 +1717,7 @@ impl Machine {
                     // The line is still brought into the cache (RFO) —
                     // unless InvisiSpec keeps speculation invisible.
                     if !self.cfg.protect.invisispec {
-                        self.data_access(addr, true);
+                        self.data_access::<FAST>(addr, true);
                     }
                     stores += 1;
                 }
@@ -1636,7 +1759,7 @@ impl Machine {
                 }
                 Instr::Ret => {
                     let sp = regs[Reg::SP.index()];
-                    match self.spec_load(sp, Width::D, &store_buf) {
+                    match self.spec_load::<FAST>(sp, Width::D, &store_buf) {
                         Some((target, latency)) => {
                             regs[Reg::SP.index()] = sp.wrapping_add(8);
                             scycle += latency;
@@ -1658,7 +1781,7 @@ impl Machine {
                 }
                 Instr::Pop(rd) => {
                     let sp = regs[Reg::SP.index()];
-                    match self.spec_load(sp, Width::D, &store_buf) {
+                    match self.spec_load::<FAST>(sp, Width::D, &store_buf) {
                         Some((value, latency)) => {
                             regs[rd.index()] = value;
                             regs[Reg::SP.index()] = sp.wrapping_add(8);
@@ -1702,7 +1825,12 @@ impl Machine {
     /// Transient load: permission-checked (fault → `None`, suppressed),
     /// store-buffer forwarded, cache-filling — unless InvisiSpec routes
     /// it through the speculative buffer, leaving no cache footprint.
-    fn spec_load(&mut self, addr: u64, width: Width, store_buf: &HashMap<u64, u8>) -> Option<(u64, u64)> {
+    fn spec_load<const FAST: bool>(
+        &mut self,
+        addr: u64,
+        width: Width,
+        store_buf: &HashMap<u64, u8>,
+    ) -> Option<(u64, u64)> {
         let n = width.bytes();
         let mut bytes = [0u8; 8];
         self.mem.read(addr, &mut bytes[..n]).ok()?;
@@ -1719,7 +1847,7 @@ impl Machine {
             return Some((value, result.latency));
         }
         // The microarchitectural side effect that makes Spectre work.
-        let result = self.data_access(addr, false);
+        let result = self.data_access::<FAST>(addr, false);
         Some((value, result.latency))
     }
 }
@@ -2014,7 +2142,7 @@ mod tests {
         assert!(!m.caches().data_resident(probe));
         m.set_reg(Reg::R6, probe);
         let r9_before = m.reg(Reg::R9);
-        m.speculate(code, 400);
+        m.speculate_at(code, 400);
         assert!(m.caches().data_resident(probe), "transient fill persists");
         assert_eq!(m.reg(Reg::R9), r9_before, "architectural state restored");
         assert!(m.pmu().count(HpcEvent::SpecLoads) >= 1);
@@ -2029,7 +2157,7 @@ mod tests {
         let probe = m.alloc(PAGE_SIZE, Perms::RW);
         let code = plant_code(&mut m, &[Instr::Ld(Width::B, Reg::R9, Reg::R6, 0), Instr::Halt]);
         m.set_reg(Reg::R6, probe);
-        m.speculate(code, 400);
+        m.speculate_at(code, 400);
         assert!(
             !m.caches().data_resident(probe),
             "InvisiSpec: speculative loads must not fill the cache"
@@ -2111,7 +2239,7 @@ mod tests {
                 Instr::Halt,
             ],
         );
-        m.speculate(code, 1000);
+        m.speculate_at(code, 1000);
         // ...but memory keeps the architectural value.
         assert_eq!(m.mem().read_u64(buf).unwrap(), 0x1111);
         assert!(m.pmu().count(HpcEvent::SpecStores) >= 1);
@@ -2128,7 +2256,7 @@ mod tests {
         m.mem_mut().poke(addr, &bytes);
         m.mem_mut().set_perms(addr, PAGE_SIZE, Perms::RX);
         m.set_reg(Reg::R6, 0); // guard page: architecturally fatal
-        m.speculate(addr, 100);
+        m.speculate_at(addr, 100);
         assert!(m.exit_reason().is_none(), "machine keeps running");
         assert_eq!(m.pmu().count(HpcEvent::SpecFaultsSuppressed), 1);
     }
@@ -2141,7 +2269,7 @@ mod tests {
         let addr = m.alloc(PAGE_SIZE, Perms::RW);
         m.mem_mut().poke(addr, &bytes);
         m.mem_mut().set_perms(addr, PAGE_SIZE, Perms::RX);
-        m.speculate(addr, u64::MAX);
+        m.speculate_at(addr, u64::MAX);
         assert_eq!(
             m.pmu().count(HpcEvent::SpecInstrs),
             m.config().spec_window,
@@ -2157,6 +2285,64 @@ mod tests {
         let li = m.load(&image_from(&[Instr::Jmp(0)])).unwrap();
         m.start(li.entry);
         assert_eq!(m.run().exit, ExitReason::Fault(Fault::MaxInstructions));
+    }
+
+    #[test]
+    fn misaligned_segment_is_a_load_fault() {
+        let mut m = Machine::new(MachineConfig::default());
+        let mut image = image_from(&[Instr::Halt]);
+        image.segments[0].offset = 8;
+        match m.load(&image) {
+            Err(Fault::Mem(f)) => assert_eq!(f.kind, crate::mem::AccessKind::Write),
+            other => panic!("expected a load fault, got {other:?}"),
+        }
+        assert!(m.loaded_images().is_empty(), "nothing was placed");
+    }
+
+    #[test]
+    fn segment_offset_near_the_top_of_the_address_space_is_a_load_fault() {
+        for offset in [u64::MAX - 7, u64::MAX - PAGE_SIZE + 1, 1 << 63] {
+            let mut m = Machine::new(MachineConfig::default());
+            let mut image = image_from(&[Instr::Halt]);
+            image.segments[0].offset = offset & !(PAGE_SIZE - 1);
+            assert!(
+                matches!(m.load(&image), Err(Fault::Mem(_))),
+                "offset {offset:#x} must fault, not overflow"
+            );
+        }
+    }
+
+    #[test]
+    fn relocation_outside_the_image_is_a_load_fault() {
+        let mut m = Machine::new(MachineConfig::default());
+        let mut image = image_from(&[Instr::Halt]);
+        image.relocs.push(crate::image::Reloc {
+            at: u64::MAX - 2,
+            addend: 0,
+            kind: crate::image::RelocKind::Abs64,
+        });
+        assert!(matches!(m.load(&image), Err(Fault::Mem(_))));
+    }
+
+    #[test]
+    fn oversized_argument_stops_the_machine_with_a_typed_fault() {
+        for len in [ARG_SIZE, ARG_SIZE + 1] {
+            let mut m = Machine::new(MachineConfig::default());
+            let li = m.load(&image_from(&[Instr::Ldi(Reg::R5, 1), Instr::Halt])).unwrap();
+            m.start_with_arg(li.entry, &vec![b'A'; len as usize]);
+            let fault = ExitReason::Fault(Fault::ArgTooLarge { len });
+            assert_eq!(m.exit_reason(), Some(&fault));
+            assert_eq!(m.run_until(u64::MAX), Some(fault.clone()));
+            assert_eq!(m.step(), StepStatus::Done(fault.clone()));
+            assert_eq!(m.run().exit, fault);
+            assert_eq!(m.instructions(), 0, "the guest never ran");
+            assert_eq!(m.reg(Reg::R5), 0);
+        }
+        // The largest argument that fits still runs.
+        let mut m = Machine::new(MachineConfig::default());
+        let li = m.load(&image_from(&[Instr::Halt])).unwrap();
+        m.start_with_arg(li.entry, &vec![b'A'; ARG_SIZE as usize - 1]);
+        assert!(m.run().exit.is_clean());
     }
 
     #[test]

@@ -37,6 +37,12 @@ pub enum Fault {
     },
     /// The configured instruction budget was exhausted.
     MaxInstructions,
+    /// The argument passed to `start_with_arg` does not fit the argument
+    /// area (with its NUL terminator); the guest never ran.
+    ArgTooLarge {
+        /// Length of the rejected argument in bytes.
+        len: u64,
+    },
     /// Guest called the abort syscall.
     Abort,
 }
@@ -55,6 +61,9 @@ impl fmt::Display for Fault {
             Fault::BadSyscall { number } => write!(f, "unknown syscall {number}"),
             Fault::UnknownBinary { name } => write!(f, "exec of unknown binary {name:?}"),
             Fault::MaxInstructions => write!(f, "instruction budget exhausted"),
+            Fault::ArgTooLarge { len } => {
+                write!(f, "argument of {len} bytes exceeds the argument area")
+            }
             Fault::Abort => write!(f, "guest aborted"),
         }
     }
@@ -124,6 +133,7 @@ mod tests {
             Fault::BadSyscall { number: 99 },
             Fault::UnknownBinary { name: "x".into() },
             Fault::MaxInstructions,
+            Fault::ArgTooLarge { len: 1 << 14 },
             Fault::Abort,
         ];
         for f in faults {

@@ -59,6 +59,16 @@ pub enum RelocKind {
     Abs64,
 }
 
+impl RelocKind {
+    /// Bytes the loader writes for a field of this kind.
+    pub fn width(self) -> u64 {
+        match self {
+            RelocKind::Imm32 => 4,
+            RelocKind::Abs64 => 8,
+        }
+    }
+}
+
 /// A relocation record: "the field at image-relative `at` must hold
 /// `image_base + addend` once the image is placed".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,14 +127,19 @@ impl Image {
     }
 
     /// Total footprint in bytes, rounded up to a whole page.
+    ///
+    /// An extent that overflows the address space (a segment offset near
+    /// `u64::MAX`) saturates to `u64::MAX`, which no memory can hold, so
+    /// [`crate::cpu::Machine::load`] rejects such an image with a fault.
     pub fn size(&self) -> u64 {
-        let end = self
-            .segments
+        self.segments
             .iter()
-            .map(|s| s.offset + s.bytes.len() as u64)
-            .max()
-            .unwrap_or(0);
-        end.div_ceil(crate::mem::PAGE_SIZE) * crate::mem::PAGE_SIZE
+            .try_fold(0u64, |end, s| {
+                let seg_end = s.offset.checked_add(s.bytes.len() as u64)?;
+                Some(end.max(seg_end))
+            })
+            .and_then(|end| end.checked_next_multiple_of(crate::mem::PAGE_SIZE))
+            .unwrap_or(u64::MAX)
     }
 
     /// Looks up a symbol's image-relative address.
@@ -220,6 +235,15 @@ mod tests {
     fn empty_image_size_is_zero() {
         let img = Image::new("empty", vec![], 0);
         assert_eq!(img.size(), 0);
+    }
+
+    #[test]
+    fn size_saturates_instead_of_overflowing() {
+        let mut img = demo_image();
+        img.segments[1].offset = u64::MAX - 1;
+        assert_eq!(img.size(), u64::MAX, "offset + len overflows");
+        img.segments[1].offset = u64::MAX - 8;
+        assert_eq!(img.size(), u64::MAX, "rounding up to a page overflows");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 
 use cr_spectre_sim::config::MachineConfig;
 use cr_spectre_sim::cpu::{Machine, StepStatus};
+use cr_spectre_sim::error::{ExitReason, Fault};
 use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
 use cr_spectre_sim::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
 use cr_spectre_sim::mem::{Perms, PAGE_SIZE};
@@ -45,13 +46,19 @@ fn self_patching_program() -> Vec<Instr> {
     ]
 }
 
-fn run_self_patching(fast_path: bool) -> Machine {
+/// A started machine (DEP off) about to run [`self_patching_program`].
+fn self_patching_machine(fast_path: bool) -> Machine {
     let mut cfg = MachineConfig { fast_path, ..MachineConfig::default() };
     cfg.protect.dep = false;
     let mut m = Machine::new(cfg);
     let li = m.load(&image_from(&self_patching_program())).unwrap();
     m.start(li.entry);
     m.set_reg(Reg::R7, li.entry + INSTR_BYTES as u64); // address of i1
+    m
+}
+
+fn run_self_patching(fast_path: bool) -> Machine {
+    let mut m = self_patching_machine(fast_path);
     let out = m.run();
     assert!(out.exit.is_clean(), "self-patching run exits cleanly: {:?}", out.exit);
     m
@@ -224,17 +231,26 @@ fn mix_program(iters: u32) -> Vec<Instr> {
     ]
 }
 
+const MIX_BUF: u64 = 64 * 1024;
+
+/// A started machine about to run [`mix_program`] over a fresh
+/// [`MIX_BUF`]-byte buffer; returns the buffer's address too.
+fn mix_machine(fast_path: bool, iters: u32) -> (Machine, u64) {
+    let cfg = MachineConfig { fast_path, ..MachineConfig::default() };
+    let mut m = Machine::new(cfg);
+    let li = m.load(&image_from(&mix_program(iters))).unwrap();
+    let buf = m.alloc(MIX_BUF, Perms::RW);
+    m.start(li.entry);
+    m.set_reg(Reg::R1, buf);
+    (m, buf)
+}
+
 #[test]
 fn call_ret_mix_over_64k_buffer_is_identical_fast_vs_slow() {
     const ITERS: u32 = 40_000;
-    const BUF: u64 = 64 * 1024;
+    const BUF: u64 = MIX_BUF;
     let run = |fast_path: bool| {
-        let cfg = MachineConfig { fast_path, ..MachineConfig::default() };
-        let mut m = Machine::new(cfg);
-        let li = m.load(&image_from(&mix_program(ITERS))).unwrap();
-        let buf = m.alloc(BUF, Perms::RW);
-        m.start(li.entry);
-        m.set_reg(Reg::R1, buf);
+        let (mut m, buf) = mix_machine(fast_path, ITERS);
         let out = m.run();
         assert!(out.exit.is_clean(), "mix halts cleanly: {:?}", out.exit);
         let mut h = DefaultHasher::new();
@@ -252,4 +268,84 @@ fn call_ret_mix_over_64k_buffer_is_identical_fast_vs_slow() {
         fast.3.count(HpcEvent::L1dMiss) > 0 && fast.3.count(HpcEvent::Returns) == u64::from(ITERS),
         "the mix actually missed in L1D and returned from every call — the equivalence is not vacuous"
     );
+}
+
+/// Everything a window sampler can observe of a machine between calls.
+fn observe(m: &Machine) -> (u64, Vec<u64>, u64, u64, cr_spectre_sim::pmu::PmuSnapshot) {
+    let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
+    (m.pc(), regs, m.cycles(), m.instructions(), m.pmu().snapshot())
+}
+
+/// Drives `window` (the `run_until` loop) and `oracle` (single steps
+/// while `cycles() < limit`) over the same ladder of cycle limits and
+/// asserts they agree after every window and on the final exit.
+fn assert_ladder_matches_steps(mut window: Machine, mut oracle: Machine, rung: u64) {
+    let mut limit = 0;
+    let mut windows = 0;
+    loop {
+        limit += rung;
+        let got = window.run_until(limit);
+        let mut want = None;
+        while oracle.cycles() < limit {
+            if let StepStatus::Done(exit) = oracle.step() {
+                want = Some(exit);
+                break;
+            }
+        }
+        windows += 1;
+        assert_eq!(got, want, "window {windows} (limit {limit}): exit");
+        assert_eq!(observe(&window), observe(&oracle), "window {windows} (limit {limit}): state");
+        if got.is_some() {
+            break;
+        }
+    }
+    assert!(windows > 3, "the ladder cut the run into several windows, got {windows}");
+}
+
+#[test]
+fn run_until_ladder_matches_single_steps_on_self_patching_code() {
+    for fast_path in [true, false] {
+        // The program is short: a small rung still cuts it several times.
+        let (window, oracle) = (self_patching_machine(fast_path), self_patching_machine(fast_path));
+        assert_ladder_matches_steps(window, oracle, 7);
+    }
+}
+
+#[test]
+fn run_until_ladder_matches_single_steps_on_call_ret_mix() {
+    for fast_path in [true, false] {
+        let (window, _) = mix_machine(fast_path, 2_000);
+        let (oracle, _) = mix_machine(fast_path, 2_000);
+        assert_ladder_matches_steps(window, oracle, 997);
+    }
+}
+
+#[test]
+fn run_until_edge_cases() {
+    for fast_path in [true, false] {
+        // A limit at or below the current cycle executes nothing.
+        let (mut m, _) = mix_machine(fast_path, 100);
+        assert_eq!(m.run_until(500), None);
+        let before = observe(&m);
+        assert!(before.2 >= 500);
+        assert_eq!(m.run_until(before.2), None, "limit == cycles()");
+        assert_eq!(m.run_until(0), None, "limit < cycles()");
+        assert_eq!(observe(&m), before, "no instruction ran");
+
+        // A stopped machine returns its stored exit, whatever the limit.
+        let exit = m.run_until(u64::MAX);
+        assert_eq!(exit, Some(ExitReason::Halted));
+        let stopped = observe(&m);
+        assert_eq!(m.run_until(u64::MAX), exit);
+        assert_eq!(m.run_until(0), exit);
+        assert_eq!(observe(&m), stopped, "a stopped machine stays put");
+
+        // The instruction budget surfaces through `run_until` too.
+        let cfg = MachineConfig { fast_path, max_instructions: 1_000, ..MachineConfig::default() };
+        let mut m = Machine::new(cfg);
+        let li = m.load(&image_from(&[Instr::Jmp(0)])).unwrap();
+        m.start(li.entry);
+        assert_eq!(m.run_until(u64::MAX), Some(ExitReason::Fault(Fault::MaxInstructions)));
+        assert_eq!(m.instructions(), 1_000);
+    }
 }
