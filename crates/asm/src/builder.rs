@@ -133,6 +133,12 @@ impl Asm {
         assert!(prev.is_none(), "duplicate label {name:?}");
     }
 
+    /// Whether `name` is already defined in any section (the text parser
+    /// checks this to report duplicates as errors instead of panicking).
+    pub(crate) fn has_label(&self, name: &str) -> bool {
+        self.labels.contains_key(name)
+    }
+
     /// Selects `label` as the entry point (default: offset 0).
     pub fn entry(&mut self, label: impl Into<String>) {
         self.entry = Some(label.into());

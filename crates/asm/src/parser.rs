@@ -142,6 +142,9 @@ fn parse_line(
         let (label, rest) = line.split_at(colon);
         let label = label.trim();
         if !label.is_empty() && label.chars().all(|c| c.is_alphanumeric() || c == '_' || c == '.') {
+            if asm.has_label(label) {
+                return Err(err(lineno, format!("duplicate label {label:?}")));
+            }
             match section {
                 Section::Text => asm.label(label),
                 Section::Data => asm.data_label(label),
@@ -544,6 +547,32 @@ mod tests {
     fn operand_count_checked() {
         let e = assemble("t", "ldi r1").unwrap_err();
         assert!(e.message.contains("expects 2 operands"));
+    }
+
+    fn duplicate_at(src: &str) -> usize {
+        let e = assemble("t", src).unwrap_err();
+        assert!(e.message.contains("duplicate label"), "{e}");
+        e.line
+    }
+
+    #[test]
+    fn duplicate_text_label_is_an_error() {
+        assert_eq!(duplicate_at("main: halt\nloop: nop\nloop: halt"), 3);
+    }
+
+    #[test]
+    fn duplicate_data_label_is_an_error() {
+        assert_eq!(duplicate_at("main: halt\n.data\nv: .dq 1\nv: .dq 2"), 4);
+    }
+
+    #[test]
+    fn duplicate_rodata_label_is_an_error() {
+        assert_eq!(duplicate_at("main: halt\n.rodata\nt: .bytes 00\n\nt: .bytes 01"), 5);
+    }
+
+    #[test]
+    fn text_label_reused_in_data_is_an_error() {
+        assert_eq!(duplicate_at("main: halt\n.data\nmain: .dq 1"), 3);
     }
 
     #[test]

@@ -117,4 +117,48 @@ proptest! {
         let from_builder = asm.build("t").unwrap();
         prop_assert_eq!(&from_text.segments[0].bytes, &from_builder.segments[0].bytes);
     }
+
+    /// Label definitions in any section order never panic the text
+    /// assembler: a program whose names are all distinct assembles, and
+    /// the first redefinition is reported as an error on its own line.
+    #[test]
+    fn label_definitions_never_panic(
+        defs in proptest::collection::vec((0u8..3, 0u8..5, any::<bool>()), 0..24)
+    ) {
+        let mut src = String::from("main: halt\n");
+        let mut lines = 1;
+        let mut seen = std::collections::BTreeSet::from(["main".to_string()]);
+        let mut first_duplicate = None;
+        for &(section, name, with_body) in &defs {
+            let (directive, body) = match section {
+                0 => (".text", "nop"),
+                1 => (".data", ".dq 1"),
+                _ => (".rodata", ".bytes 00"),
+            };
+            let label = if name == 4 { "main".to_string() } else { format!("l{name}") };
+            src.push_str(&format!("{directive}\n{label}:"));
+            if with_body {
+                src.push_str(&format!(" {body}"));
+            }
+            src.push('\n');
+            lines += 2;
+            if !seen.insert(label) && first_duplicate.is_none() {
+                first_duplicate = Some(lines);
+            }
+        }
+        match (assemble("t", &src), first_duplicate) {
+            (Ok(image), None) => {
+                for label in &seen {
+                    prop_assert!(image.symbol(label).is_some(), "{} missing", label);
+                }
+            }
+            (Err(e), Some(line)) => {
+                prop_assert_eq!(e.line, line);
+                prop_assert!(e.message.contains("duplicate label"), "{}", e);
+            }
+            (result, expected) => {
+                prop_assert!(false, "{:?} for first duplicate at {:?}", result.err(), expected);
+            }
+        }
+    }
 }

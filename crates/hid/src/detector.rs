@@ -31,21 +31,7 @@ pub trait Detector: std::fmt::Debug + Send + Sync {
     /// # Panics
     ///
     /// Implementations panic on empty or inconsistent inputs.
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]);
-
-    /// (Re)trains from a flat row-major matrix — the allocation-free
-    /// path the deployed [`Hid`] uses. The default unboxes into jagged
-    /// rows and delegates to [`Detector::fit`]; the built-in model
-    /// families override it with implementations that never leave flat
-    /// storage.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic on empty or inconsistent inputs.
-    fn fit_mat(&mut self, x: &Mat, y: &[u8]) {
-        let rows: Vec<Vec<f64>> = x.iter_rows().map(<[f64]>::to_vec).collect();
-        self.fit(&rows, y);
-    }
+    fn fit(&mut self, x: &Mat, y: &[u8]);
 
     /// Classifies one feature row (0 = benign, 1 = attack).
     fn predict(&self, row: &[f64]) -> u8;
@@ -62,16 +48,7 @@ pub trait Detector: std::fmt::Debug + Send + Sync {
 
     /// Fraction of rows classified correctly (routed through
     /// [`Detector::predict_batch`]).
-    fn accuracy(&self, x: &[Vec<f64>], y: &[u8]) -> f64 {
-        assert_eq!(x.len(), y.len(), "features/labels mismatch");
-        if x.is_empty() {
-            return 0.0;
-        }
-        self.accuracy_mat(&Mat::from_rows(x), y)
-    }
-
-    /// [`Detector::accuracy`] over a flat matrix.
-    fn accuracy_mat(&self, x: &Mat, y: &[u8]) -> f64 {
+    fn accuracy(&self, x: &Mat, y: &[u8]) -> f64 {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
         if x.rows() == 0 {
             return 0.0;
@@ -169,7 +146,7 @@ impl Hid {
             .field("rows", training.len());
         let normalizer = Normalizer::fit(&training.x);
         let mut model = kind.build();
-        let x = normalized_mat(&normalizer, &training);
+        let x = normalized(&normalizer, &training.x);
         fit_timed(model.as_mut(), &x, &training.y);
         let initial_len = training.len();
         Hid {
@@ -209,17 +186,14 @@ impl Hid {
     }
 
     /// Classifies a batch of raw counter rows through the flat fast
-    /// path: one contiguous normalization pass, then the model's
+    /// path: one contiguous copy normalized in place, then the model's
     /// whole-batch predictor. Bit-identical to calling
     /// [`Hid::classify`] per row.
     pub fn classify_batch(&self, rows: &[Vec<f64>]) -> Vec<u8> {
         if rows.is_empty() {
             return Vec::new();
         }
-        let mut flat = cr_spectre_hpc::dataset::FlatMatrix::from_rows(rows);
-        self.normalizer.apply_flat(&mut flat);
-        let (data, n, dim) = flat.into_parts();
-        self.model.predict_batch(&Mat::from_vec(data, n, dim))
+        self.model.predict_batch(&normalized(&self.normalizer, rows))
     }
 
     /// Overall accuracy on a labelled raw dataset (Figure 4's metric).
@@ -312,7 +286,7 @@ impl Hid {
             self.corpus.y.drain(self.initial_len..self.initial_len + drop);
         }
         self.normalizer = Normalizer::fit(&self.corpus.x);
-        let x = normalized_mat(&self.normalizer, &self.corpus);
+        let x = normalized(&self.normalizer, &self.corpus.x);
         fit_timed(self.model.as_mut(), &x, &self.corpus.y);
     }
 
@@ -322,28 +296,33 @@ impl Hid {
     }
 }
 
-/// Normalizes a corpus into the flat matrix the fast-path trainers
-/// consume: one contiguous copy, normalized in place, handed to
-/// [`Mat`] zero-copy — no per-row re-boxing anywhere.
-fn normalized_mat(normalizer: &Normalizer, corpus: &Dataset) -> Mat {
-    let mut flat = corpus.to_flat();
-    normalizer.apply_flat(&mut flat);
-    let (data, rows, cols) = flat.into_parts();
-    Mat::from_vec(data, rows, cols)
+/// Copies raw counter rows into one flat [`Mat`] and normalizes each
+/// row in place — the matrix every trainer and batch predictor consumes.
+///
+/// # Panics
+///
+/// Panics on ragged rows or rows whose width differs from the
+/// normalizer's.
+fn normalized(normalizer: &Normalizer, rows: &[Vec<f64>]) -> Mat {
+    let mut x = Mat::from_rows(rows);
+    for i in 0..x.rows() {
+        normalizer.apply(x.row_mut(i));
+    }
+    x
 }
 
-/// Runs `model.fit_mat` under the training-throughput telemetry: a
+/// Runs `model.fit` under the training-throughput telemetry: a
 /// `hid.train.rows_per_sec` counter (corpus rows per wall-clock second
 /// of the full fit) inside whichever `hid.train` / `hid.retrain` span
 /// is active. Observation only — the fit itself is identical with
 /// telemetry on or off.
 fn fit_timed(model: &mut dyn Detector, x: &Mat, y: &[u8]) {
     if !telemetry::enabled() {
-        model.fit_mat(x, y);
+        model.fit(x, y);
         return;
     }
     let t0 = std::time::Instant::now();
-    model.fit_mat(x, y);
+    model.fit(x, y);
     let wall = t0.elapsed().as_secs_f64();
     if wall > 0.0 {
         telemetry::counter("hid.train.rows_per_sec", (x.rows() as f64 / wall) as u64);
@@ -356,8 +335,11 @@ pub mod testdata {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Two Gaussian-ish blobs separated by `sep` in every dimension.
-    pub fn blobs(n: usize, dim: usize, sep: f64, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
+    use crate::linalg::Mat;
+
+    /// Two Gaussian-ish blobs separated by `sep` in every dimension, as
+    /// jagged rows (for tests that edit or compare individual rows).
+    pub fn blob_rows(n: usize, dim: usize, sep: f64, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut x = Vec::with_capacity(n);
         let mut y = Vec::with_capacity(n);
@@ -370,18 +352,24 @@ pub mod testdata {
         (x, y)
     }
 
+    /// [`blob_rows`] as one flat matrix.
+    pub fn blobs(n: usize, dim: usize, sep: f64, seed: u64) -> (Mat, Vec<u8>) {
+        let (x, y) = blob_rows(n, dim, sep, seed);
+        (Mat::from_rows(&x), y)
+    }
+
     /// The XOR problem in 2D (not linearly separable).
-    pub fn xor_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
+    pub fn xor_data(n: usize, seed: u64) -> (Mat, Vec<u8>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut x = Vec::with_capacity(n);
+        let mut x = Vec::with_capacity(n * 2);
         let mut y = Vec::with_capacity(n);
         for _ in 0..n {
             let a = rng.random_range(-1.0..1.0f64);
             let b = rng.random_range(-1.0..1.0f64);
-            x.push(vec![a, b]);
+            x.extend_from_slice(&[a, b]);
             y.push(u8::from((a > 0.0) != (b > 0.0)));
         }
-        (x, y)
+        (Mat::from_vec(x, n, 2), y)
     }
 }
 
@@ -391,7 +379,7 @@ mod tests {
     use cr_spectre_hpc::dataset::Label;
 
     fn blob_dataset(n: usize, sep: f64, seed: u64) -> Dataset {
-        let (x, y) = testdata::blobs(n, 4, sep, seed);
+        let (x, y) = testdata::blob_rows(n, 4, sep, seed);
         let mut d = Dataset::new();
         for (row, label) in x.into_iter().zip(y) {
             d.push_row(row, if label == 1 { Label::Attack } else { Label::Benign });
@@ -415,7 +403,7 @@ mod tests {
     fn detection_rate_is_recall_on_attack_rows() {
         let train = blob_dataset(200, 3.0, 3);
         let hid = Hid::train(HidKind::Lr, HidMode::Offline, train);
-        let (x, y) = testdata::blobs(100, 4, 3.0, 4);
+        let (x, y) = testdata::blob_rows(100, 4, 3.0, 4);
         let attacks: Vec<Vec<f64>> =
             x.into_iter().zip(&y).filter(|(_, &l)| l == 1).map(|(r, _)| r).collect();
         let rate = hid.detection_rate(&attacks);
@@ -464,6 +452,34 @@ mod tests {
         let hid = Hid::train(HidKind::Lr, HidMode::Offline, blob_dataset(50, 2.0, 7));
         assert_eq!(hid.detection_rate(&[]), 0.0);
         assert_eq!(hid.test_accuracy(&Dataset::new()), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature width mismatch")]
+    fn classify_rejects_a_narrower_row() {
+        let hid = Hid::train(HidKind::Lr, HidMode::Offline, blob_dataset(50, 2.0, 8));
+        let _ = hid.classify(&[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature width mismatch")]
+    fn classify_rejects_a_wider_row() {
+        let hid = Hid::train(HidKind::Lr, HidMode::Offline, blob_dataset(50, 2.0, 8));
+        let _ = hid.classify(&[1.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature width mismatch")]
+    fn classify_batch_rejects_narrower_rows() {
+        let hid = Hid::train(HidKind::Nn, HidMode::Offline, blob_dataset(50, 2.0, 9));
+        let _ = hid.classify_batch(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature width mismatch")]
+    fn classify_batch_rejects_wider_rows() {
+        let hid = Hid::train(HidKind::Svm, HidMode::Offline, blob_dataset(50, 2.0, 9));
+        let _ = hid.classify_batch(&[vec![1.0; 5]]);
     }
 
     #[test]

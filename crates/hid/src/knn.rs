@@ -77,14 +77,7 @@ impl Detector for Knn {
         "kNN"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        assert_eq!(x.len(), y.len(), "features/labels mismatch");
-        assert!(!x.is_empty(), "cannot fit on no data");
-        self.x = Mat::from_rows(x);
-        self.y = y.to_vec();
-    }
-
-    fn fit_mat(&mut self, x: &Mat, y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
         assert!(x.rows() > 0, "cannot fit on no data");
         self.x = x.clone();
@@ -107,7 +100,7 @@ impl Detector for Knn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::testdata::{blobs, xor_data};
+    use crate::detector::testdata::{blob_rows, blobs, xor_data};
 
     #[test]
     fn fits_blobs_and_xor() {
@@ -133,7 +126,7 @@ mod tests {
     #[test]
     fn k_larger_than_dataset_is_clamped() {
         let mut knn = Knn::with_k(99);
-        knn.fit(&[vec![0.0], vec![10.0]], &[0, 1]);
+        knn.fit(&Mat::from_vec(vec![0.0, 10.0], 2, 1), &[0, 1]);
         // With both neighbours voting, attacks*2 > k requires strict
         // majority — a tie votes benign.
         assert_eq!(knn.predict(&[5.0]), 0);
@@ -156,7 +149,7 @@ mod tests {
 
     #[test]
     fn selection_matches_full_sort_oracle() {
-        let (mut x, mut y) = blobs(120, 2, 1.5, 53);
+        let (mut x, mut y) = blob_rows(120, 2, 1.5, 53);
         // Inject exact duplicates with conflicting labels so distance
         // ties at the k boundary actually exercise the tie-break.
         for i in 0..20 {
@@ -165,7 +158,7 @@ mod tests {
         }
         for k in [1, 3, 5, 7] {
             let mut knn = Knn::with_k(k);
-            knn.fit(&x, &y);
+            knn.fit(&Mat::from_rows(&x), &y);
             for row in &x {
                 assert_eq!(
                     knn.predict(row),
@@ -181,8 +174,8 @@ mod tests {
         let (x, y) = blobs(90, 3, 1.0, 59);
         let mut knn = Knn::new();
         knn.fit(&x, &y);
-        let batch = knn.predict_batch(&Mat::from_rows(&x));
-        let per_row: Vec<u8> = x.iter().map(|r| knn.predict(r)).collect();
+        let batch = knn.predict_batch(&x);
+        let per_row: Vec<u8> = x.iter_rows().map(|r| knn.predict(r)).collect();
         assert_eq!(batch, per_row);
     }
 

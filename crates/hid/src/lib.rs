@@ -17,6 +17,13 @@
 //! metrics: test accuracy (Figure 4) and per-attempt detection rate
 //! (Figures 5–6), with the 55 % evasion / 80 % detection thresholds.
 //!
+//! Every family implements one [`Detector`] API over one matrix type,
+//! [`linalg::Mat`]: `fit(&Mat, &[u8])`, `predict(&[f64])`,
+//! `predict_batch(&Mat)` and `accuracy(&Mat, &[u8])`. The `Hid` takes
+//! raw counter rows, copies them into a `Mat` and normalizes each row in
+//! place before any model sees them. [`mod@reference`] keeps the seed
+//! implementations as bit-exactness oracles.
+//!
 //! # Example
 //!
 //! ```

@@ -7,9 +7,12 @@
 //!   against — kept verbatim, because they define the reference
 //!   floating-point evaluation order;
 //! * the flat math core ([`Mat`], [`dot4`], [`gemm_nt`],
-//!   [`matvec_into`]) the detector fast paths run on: one contiguous
-//!   row-major allocation per matrix, cache-blocked GEMM, and a lane
-//!   kernel that runs four dot products side by side.
+//!   [`matvec_into`]) the detectors run on: one contiguous row-major
+//!   allocation per matrix, cache-blocked GEMM, and a lane kernel that
+//!   runs four dot products side by side. [`Mat`] is the crate's only
+//!   matrix type: normalized corpora, query batches, weight layers and
+//!   activations, and the argument of every [`crate::Detector`] method
+//!   that takes more than one row.
 //!
 //! **Bit-exactness contract:** [`dot`]'s fold order is the only
 //! reduction order; lanes run independent folds. Every element any flat
@@ -86,10 +89,10 @@ pub fn matvec(m: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
 
 /// A dense row-major matrix backed by one contiguous allocation.
 ///
-/// `Mat` is the carrier type of the detector fast paths: feature
-/// corpora, network weight layers and whole-batch activations all live
-/// in one `Vec<f64>` each, so iterating rows is a pointer bump instead
-/// of a pointer chase through per-row boxes.
+/// `Mat` is the one matrix type of the detector stack: feature corpora,
+/// network weight layers and whole-batch activations all live in one
+/// `Vec<f64>` each, so iterating rows is a pointer bump instead of a
+/// pointer chase through per-row boxes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
     data: Vec<f64>,
@@ -337,6 +340,14 @@ mod tests {
         }
         assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m.iter_rows().count(), 3);
+    }
+
+    #[test]
+    fn mat_from_no_rows_is_empty() {
+        let m = Mat::from_rows(&[]);
+        assert_eq!((m.rows(), m.cols()), (0, 0));
+        assert!(m.as_slice().is_empty());
+        assert_eq!(m.iter_rows().count(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Logistic regression (the paper's "LR" detector), trained with SGD and
 //! L2 regularization.
 //!
-//! Runs on the flat math core: [`LogisticRegression::fit_mat`] walks
+//! Runs on the flat math core: [`LogisticRegression::fit`] walks
 //! contiguous [`Mat`] rows (no per-row pointer chase, nothing allocated
 //! per epoch) and [`LogisticRegression::predict_batch`] scores a whole
 //! matrix through one [`matvec_into`]. Both keep the seed's dot-product
@@ -72,11 +72,7 @@ impl Detector for LogisticRegression {
         "LR"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        self.fit_mat(&Mat::from_rows(x), y);
-    }
-
-    fn fit_mat(&mut self, x: &Mat, y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
         assert!(x.rows() > 0, "cannot fit on no data");
         self.weights = vec![0.0; x.cols()];
@@ -147,7 +143,7 @@ mod tests {
         let (x, y) = blobs(50, 2, 2.0, 3);
         let mut lr = LogisticRegression::new();
         lr.fit(&x, &y);
-        for row in &x {
+        for row in x.iter_rows() {
             let p = lr.predict_proba(row);
             assert!((0.0..=1.0).contains(&p));
         }
@@ -166,17 +162,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "no data")]
     fn empty_fit_panics() {
-        LogisticRegression::new().fit(&[], &[]);
+        LogisticRegression::new().fit(&Mat::zeros(0, 0), &[]);
     }
 
     #[test]
     fn batch_prediction_matches_per_row() {
-        use crate::linalg::Mat;
         let (x, y) = blobs(150, 3, 1.2, 19);
         let mut lr = LogisticRegression::new();
         lr.fit(&x, &y);
-        let batch = lr.predict_batch(&Mat::from_rows(&x));
-        let per_row: Vec<u8> = x.iter().map(|r| lr.predict(r)).collect();
+        let batch = lr.predict_batch(&x);
+        let per_row: Vec<u8> = x.iter_rows().map(|r| lr.predict(r)).collect();
         assert_eq!(batch, per_row);
     }
 }

@@ -219,11 +219,7 @@ impl Detector for DenseNet {
         self.name
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        self.fit_mat(&Mat::from_rows(x), y);
-    }
-
-    fn fit_mat(&mut self, x: &Mat, y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
         assert!(x.rows() > 0, "cannot fit on no data");
         self.init(x.cols());
@@ -331,7 +327,7 @@ mod tests {
         let (x, y) = blobs(60, 2, 2.0, 8);
         let mut net = DenseNet::mlp();
         net.fit(&x, &y);
-        for row in &x {
+        for row in x.iter_rows() {
             let p = net.predict_proba(row);
             assert!((0.0..=1.0).contains(&p), "p = {p}");
         }
@@ -344,7 +340,7 @@ mod tests {
         a.fit(&x, &y);
         let mut b = DenseNet::mlp();
         b.fit(&x, &y);
-        for row in &x {
+        for row in x.iter_rows() {
             assert_eq!(a.predict_proba(row), b.predict_proba(row));
         }
     }
@@ -354,8 +350,8 @@ mod tests {
         let (x, y) = blobs(120, 3, 2.0, 44);
         let mut net = DenseNet::mlp();
         net.fit(&x, &y);
-        let batch = net.predict_batch(&Mat::from_rows(&x));
-        let per_row: Vec<u8> = x.iter().map(|r| net.predict(r)).collect();
+        let batch = net.predict_batch(&x);
+        let per_row: Vec<u8> = x.iter_rows().map(|r| net.predict(r)).collect();
         assert_eq!(batch, per_row);
     }
 

@@ -7,6 +7,11 @@
 //! `tests/fastmath_equivalence.rs` — the same role the
 //! `fast_path = false` interpreter plays for the simulator.
 //!
+//! They implement the one [`Detector`] API like every other family, but
+//! each `fit` first unboxes the [`Mat`] into jagged `Vec<Vec<f64>>` rows
+//! and then runs the seed body unchanged, so no flat-matrix code sits
+//! between an oracle and the arithmetic it checks.
+//!
 //! Nothing here is used by the campaign drivers; production code always
 //! runs the fast path.
 
@@ -15,7 +20,12 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::detector::Detector;
-use crate::linalg::{dot, relu, relu_grad, sigmoid};
+use crate::linalg::{dot, relu, relu_grad, sigmoid, Mat};
+
+/// Copies a flat matrix back into the jagged rows the seed bodies index.
+fn jagged(x: &Mat) -> Vec<Vec<f64>> {
+    x.iter_rows().map(<[f64]>::to_vec).collect()
+}
 
 /// Seed logistic regression: per-sample SGD over jagged `Vec<Vec<f64>>`
 /// rows. Same hyper-parameter defaults as
@@ -74,7 +84,8 @@ impl Detector for RefLogisticRegression {
         "LR(ref)"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
+        let x = &jagged(x);
         assert_eq!(x.len(), y.len(), "features/labels mismatch");
         assert!(!x.is_empty(), "cannot fit on no data");
         let dim = x[0].len();
@@ -156,7 +167,8 @@ impl Detector for RefLinearSvm {
         "SVM(ref)"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
+        let x = &jagged(x);
         assert_eq!(x.len(), y.len(), "features/labels mismatch");
         assert!(!x.is_empty(), "cannot fit on no data");
         let dim = x[0].len();
@@ -324,7 +336,8 @@ impl Detector for RefDenseNet {
         self.name
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
+        let x = &jagged(x);
         assert_eq!(x.len(), y.len(), "features/labels mismatch");
         assert!(!x.is_empty(), "cannot fit on no data");
         self.init(x[0].len());
@@ -377,10 +390,11 @@ impl Detector for RefKnn {
         "kNN(ref)"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
+        let x = jagged(x);
         assert_eq!(x.len(), y.len(), "features/labels mismatch");
         assert!(!x.is_empty(), "cannot fit on no data");
-        self.x = x.to_vec();
+        self.x = x;
         self.y = y.to_vec();
     }
 

@@ -1,7 +1,7 @@
 //! Linear support-vector machine (the paper's "SVM" detector, linear
 //! kernel), trained with hinge-loss SGD (Pegasos-style).
 //!
-//! Runs on the flat math core: [`LinearSvm::fit_mat`] walks contiguous
+//! Runs on the flat math core: [`LinearSvm::fit`] walks contiguous
 //! [`Mat`] rows and [`LinearSvm::predict_batch`] scores a whole matrix
 //! through one [`matvec_into`], both bit-identical to the seed
 //! implementation ([`crate::reference::RefLinearSvm`]).
@@ -70,11 +70,7 @@ impl Detector for LinearSvm {
         "SVM"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        self.fit_mat(&Mat::from_rows(x), y);
-    }
-
-    fn fit_mat(&mut self, x: &Mat, y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
         assert!(x.rows() > 0, "cannot fit on no data");
         self.weights = vec![0.0; x.cols()];
@@ -146,7 +142,7 @@ mod tests {
         let (x, y) = blobs(80, 2, 3.0, 2);
         let mut svm = LinearSvm::new();
         svm.fit(&x, &y);
-        for row in &x {
+        for row in x.iter_rows() {
             assert_eq!(svm.predict(row), u8::from(svm.decision(row) >= 0.0));
         }
     }
@@ -163,12 +159,11 @@ mod tests {
 
     #[test]
     fn batch_prediction_matches_per_row() {
-        use crate::linalg::Mat;
         let (x, y) = blobs(150, 3, 1.1, 6);
         let mut svm = LinearSvm::new();
         svm.fit(&x, &y);
-        let batch = svm.predict_batch(&Mat::from_rows(&x));
-        let per_row: Vec<u8> = x.iter().map(|r| svm.predict(r)).collect();
+        let batch = svm.predict_batch(&x);
+        let per_row: Vec<u8> = x.iter_rows().map(|r| svm.predict(r)).collect();
         assert_eq!(batch, per_row);
     }
 }

@@ -3,7 +3,7 @@
 //! trees; provided here as an additional [`Detector`] family.
 //!
 //! Training runs natively over the flat [`Mat`] layout
-//! ([`DecisionTree::fit_mat`]); the split search is identical arithmetic
+//! ([`DecisionTree::fit`]); the split search is identical arithmetic
 //! to the seed's jagged-row version, just over contiguous rows.
 
 use crate::detector::Detector;
@@ -126,11 +126,7 @@ impl Detector for DecisionTree {
         "DT"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        self.fit_mat(&Mat::from_rows(x), y);
-    }
-
-    fn fit_mat(&mut self, x: &Mat, y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
         assert!(x.rows() > 0, "cannot fit on no data");
         let idx: Vec<usize> = (0..x.rows()).collect();
@@ -183,7 +179,7 @@ mod tests {
 
     #[test]
     fn pure_nodes_become_leaves() {
-        let x = vec![vec![0.0], vec![1.0], vec![2.0]];
+        let x = Mat::from_vec(vec![0.0, 1.0, 2.0], 3, 1);
         let y = vec![0, 0, 0];
         let mut tree = DecisionTree::new();
         tree.fit(&x, &y);

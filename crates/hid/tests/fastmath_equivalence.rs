@@ -47,9 +47,10 @@ fn fig5_shape() -> (Vec<Vec<f64>>, Vec<u8>) {
     clusters(800, 4, 1.5, 0xf165)
 }
 
-/// table1/fig4 scale: 240 × 16.
-fn table1_shape() -> (Vec<Vec<f64>>, Vec<u8>) {
-    clusters(240, 16, 1.2, 0x7ab1)
+/// table1/fig4 scale: 240 × 16, as one flat matrix.
+fn table1_shape() -> (Mat, Vec<u8>) {
+    let (x, y) = clusters(240, 16, 1.2, 0x7ab1);
+    (Mat::from_rows(&x), y)
 }
 
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -59,30 +60,30 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-fn check_logreg(x: &[Vec<f64>], y: &[u8], what: &str) {
+fn check_logreg(x: &Mat, y: &[u8], what: &str) {
     let mut fast = LogisticRegression::new();
     fast.fit(x, y);
     let mut seed = RefLogisticRegression::new();
     seed.fit(x, y);
     assert_bits_eq(fast.weights(), seed.weights(), &format!("{what}: LR weights"));
     assert_eq!(fast.bias().to_bits(), seed.bias().to_bits(), "{what}: LR bias");
-    let batch = fast.predict_batch(&Mat::from_rows(x));
-    for (i, row) in x.iter().enumerate() {
+    let batch = fast.predict_batch(x);
+    for (i, row) in x.iter_rows().enumerate() {
         assert_eq!(fast.predict(row), seed.predict(row), "{what}: LR row {i}");
         assert_eq!(batch[i], seed.predict(row), "{what}: LR batch row {i}");
     }
     assert!(fast.accuracy(x, y) == seed.accuracy(x, y), "{what}: LR accuracy");
 }
 
-fn check_svm(x: &[Vec<f64>], y: &[u8], what: &str) {
+fn check_svm(x: &Mat, y: &[u8], what: &str) {
     let mut fast = LinearSvm::new();
     fast.fit(x, y);
     let mut seed = RefLinearSvm::new();
     seed.fit(x, y);
     assert_bits_eq(fast.weights(), seed.weights(), &format!("{what}: SVM weights"));
     assert_eq!(fast.bias().to_bits(), seed.bias().to_bits(), "{what}: SVM bias");
-    let batch = fast.predict_batch(&Mat::from_rows(x));
-    for (i, row) in x.iter().enumerate() {
+    let batch = fast.predict_batch(x);
+    for (i, row) in x.iter_rows().enumerate() {
         assert_eq!(fast.predict(row), seed.predict(row), "{what}: SVM row {i}");
         assert_eq!(batch[i], seed.predict(row), "{what}: SVM batch row {i}");
     }
@@ -92,7 +93,7 @@ fn check_svm(x: &[Vec<f64>], y: &[u8], what: &str) {
 fn check_net(
     mut fast: DenseNet,
     mut seed: RefDenseNet,
-    x: &[Vec<f64>],
+    x: &Mat,
     y: &[u8],
     what: &str,
 ) {
@@ -108,8 +109,8 @@ fn check_net(
     for (l, (fb, sb)) in fast.layer_biases().iter().zip(seed.biases()).enumerate() {
         assert_bits_eq(fb, sb, &format!("{what}: layer {l} biases"));
     }
-    let batch = fast.predict_batch(&Mat::from_rows(x));
-    for (i, row) in x.iter().enumerate() {
+    let batch = fast.predict_batch(x);
+    for (i, row) in x.iter_rows().enumerate() {
         assert_eq!(
             fast.predict_proba(row).to_bits(),
             seed.predict_proba(row).to_bits(),
@@ -120,19 +121,19 @@ fn check_net(
     assert!(fast.accuracy(x, y) == seed.accuracy(x, y), "{what}: accuracy");
 }
 
-fn check_knn(x: &[Vec<f64>], y: &[u8], what: &str) {
+fn check_knn(x: &Mat, y: &[u8], what: &str) {
     let mut fast = Knn::new();
     fast.fit(x, y);
     let mut seed = RefKnn::new();
     seed.fit(x, y);
-    let batch = fast.predict_batch(&Mat::from_rows(x));
-    for (i, row) in x.iter().enumerate() {
+    let batch = fast.predict_batch(x);
+    for (i, row) in x.iter_rows().enumerate() {
         assert_eq!(fast.predict(row), seed.predict(row), "{what}: kNN row {i}");
         assert_eq!(batch[i], seed.predict(row), "{what}: kNN batch row {i}");
     }
 }
 
-fn check_all(x: &[Vec<f64>], y: &[u8], what: &str) {
+fn check_all(x: &Mat, y: &[u8], what: &str) {
     check_logreg(x, y, what);
     check_svm(x, y, what);
     check_net(DenseNet::mlp(), RefDenseNet::mlp(), x, y, &format!("{what} MLP"));
@@ -153,7 +154,7 @@ fn check_all(x: &[Vec<f64>], y: &[u8], what: &str) {
 #[test]
 fn fig5_scale_bit_identical() {
     let (x, y) = fig5_shape();
-    check_all(&x, &y, "fig5 800x4");
+    check_all(&Mat::from_rows(&x), &y, "fig5 800x4");
 }
 
 #[test]
@@ -206,8 +207,10 @@ fn hid_pipeline_matches_reference_pipeline() {
     let (probe, _) = clusters(160, 4, 1.5, 0x9e37);
 
     let normalizer = Normalizer::fit(&x);
-    let mut normalized = x.clone();
-    normalizer.apply_all(&mut normalized);
+    let mut normalized = Mat::from_rows(&x);
+    for i in 0..normalized.rows() {
+        normalizer.apply(normalized.row_mut(i));
+    }
 
     for kind in HidKind::ALL {
         let hid = Hid::train(kind, HidMode::Offline, train.clone());

@@ -57,10 +57,11 @@ proptest! {
     #[test]
     fn all_models_fit_separable_data(seed in any::<u64>()) {
         let data = separable(120, 4.0, seed);
+        let x = Mat::from_rows(&data.x);
         for kind in HidKind::ALL {
             let mut model = kind.build();
-            model.fit(&data.x, &data.y);
-            let acc = model.accuracy(&data.x, &data.y);
+            model.fit(&x, &data.y);
+            let acc = model.accuracy(&x, &data.y);
             prop_assert!(acc > 0.9, "{}: {}", kind.name(), acc);
         }
     }
@@ -70,14 +71,15 @@ proptest! {
     #[test]
     fn prediction_is_pure(seed in any::<u64>(), probe in proptest::collection::vec(-5.0f64..5.0, 3)) {
         let data = separable(60, 3.0, seed);
+        let x = Mat::from_rows(&data.x);
         let mut lr = LogisticRegression::new();
-        lr.fit(&data.x, &data.y);
+        lr.fit(&x, &data.y);
         prop_assert_eq!(lr.predict(&probe), lr.predict(&probe));
         let mut svm = LinearSvm::new();
-        svm.fit(&data.x, &data.y);
+        svm.fit(&x, &data.y);
         prop_assert_eq!(svm.predict(&probe), svm.predict(&probe));
         let mut net = DenseNet::mlp();
-        net.fit(&data.x, &data.y);
+        net.fit(&x, &data.y);
         prop_assert_eq!(net.predict(&probe), net.predict(&probe));
     }
 

@@ -36,78 +36,6 @@ pub struct Dataset {
     pub y: Vec<u8>,
 }
 
-/// A feature matrix in one contiguous row-major allocation.
-///
-/// The classifier fast paths (crates/hid) consume features as flat
-/// matrices; this is the transport type that gets them there without
-/// re-boxing every row: [`Dataset::to_flat`] copies the jagged corpus
-/// into a single buffer once, [`crate::features::Normalizer::apply_flat`]
-/// normalizes it in place, and [`FlatMatrix::into_parts`] hands the
-/// buffer over zero-copy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatMatrix {
-    data: Vec<f64>,
-    rows: usize,
-    cols: usize,
-}
-
-impl FlatMatrix {
-    /// Copies jagged rows into one flat allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when rows have inconsistent widths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> FlatMatrix {
-        let cols = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            assert_eq!(row.len(), cols, "inconsistent feature width");
-            data.extend_from_slice(row);
-        }
-        FlatMatrix { data, rows: rows.len(), cols }
-    }
-
-    /// Wraps an existing flat buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `data.len() != rows * cols`.
-    pub fn from_vec(data: Vec<f64>, rows: usize, cols: usize) -> FlatMatrix {
-        assert_eq!(data.len(), rows * cols, "flat buffer does not match shape");
-        FlatMatrix { data, rows, cols }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// One row as a slice.
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// The whole backing buffer, row-major.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// The whole backing buffer, row-major, mutable.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Surrenders the backing buffer zero-copy: `(data, rows, cols)`.
-    pub fn into_parts(self) -> (Vec<f64>, usize, usize) {
-        (self.data, self.rows, self.cols)
-    }
-}
-
 impl Dataset {
     /// Creates an empty dataset.
     pub fn new() -> Dataset {
@@ -127,16 +55,6 @@ impl Dataset {
     pub fn push_row(&mut self, row: Vec<f64>, label: Label) {
         self.x.push(row);
         self.y.push(label.as_u8());
-    }
-
-    /// The feature rows as one contiguous flat matrix (a single copy,
-    /// no per-row boxing).
-    ///
-    /// # Panics
-    ///
-    /// Panics when rows have inconsistent widths.
-    pub fn to_flat(&self) -> FlatMatrix {
-        FlatMatrix::from_rows(&self.x)
     }
 
     /// Merges another dataset into this one.
@@ -250,34 +168,6 @@ mod tests {
         let d = toy(10);
         assert_eq!(d.attack_count(), 5);
         assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn flat_matrix_matches_jagged_rows() {
-        let mut d = Dataset::new();
-        d.push_row(vec![1.0, 2.0], Label::Benign);
-        d.push_row(vec![3.0, 4.0], Label::Attack);
-        let flat = d.to_flat();
-        assert_eq!((flat.rows(), flat.cols()), (2, 2));
-        for (i, row) in d.x.iter().enumerate() {
-            assert_eq!(flat.row(i), row.as_slice());
-        }
-        let (data, rows, cols) = flat.into_parts();
-        assert_eq!(data, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!((rows, cols), (2, 2));
-    }
-
-    #[test]
-    fn flat_matrix_of_empty_dataset() {
-        let flat = Dataset::new().to_flat();
-        assert_eq!((flat.rows(), flat.cols()), (0, 0));
-        assert!(flat.as_slice().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent feature width")]
-    fn flat_matrix_rejects_ragged_rows() {
-        let _ = FlatMatrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]);
     }
 
     #[test]

@@ -180,33 +180,14 @@ impl Normalizer {
     }
 
     /// Normalizes one row in place.
-    pub fn apply(&self, row: &mut [f64]) {
-        for ((v, m), s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
-            *v = (*v - m) / s;
-        }
-    }
-
-    /// Normalizes a whole matrix in place.
-    pub fn apply_all(&self, rows: &mut [Vec<f64>]) {
-        for row in rows {
-            self.apply(row);
-        }
-    }
-
-    /// Normalizes a flat row-major matrix in place — the same per-row
-    /// arithmetic as [`Normalizer::apply`], over contiguous storage.
     ///
     /// # Panics
     ///
-    /// Panics when the matrix width differs from the fitted dimension.
-    pub fn apply_flat(&self, m: &mut crate::dataset::FlatMatrix) {
-        assert_eq!(m.cols(), self.dim(), "flat matrix width mismatch");
-        let dim = self.dim();
-        if dim == 0 {
-            return;
-        }
-        for row in m.as_mut_slice().chunks_exact_mut(dim) {
-            self.apply(row);
+    /// Panics when the row width differs from the fitted dimension.
+    pub fn apply(&self, row: &mut [f64]) {
+        assert_eq!(row.len(), self.dim(), "feature width mismatch");
+        for ((v, m), s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
+            *v = (*v - m) / s;
         }
     }
 
@@ -283,7 +264,9 @@ mod tests {
         let rows = vec![vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]];
         let norm = Normalizer::fit(&rows);
         let mut m = rows.clone();
-        norm.apply_all(&mut m);
+        for row in &mut m {
+            norm.apply(row);
+        }
         for col in 0..2 {
             let mean: f64 = m.iter().map(|r| r[col]).sum::<f64>() / 3.0;
             let var: f64 = m.iter().map(|r| (r[col] - mean).powi(2)).sum::<f64>() / 3.0;
@@ -294,28 +277,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_flat_matches_apply_all() {
-        use crate::dataset::FlatMatrix;
-        let rows = vec![vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]];
-        let norm = Normalizer::fit(&rows);
-        let mut jagged = rows.clone();
-        norm.apply_all(&mut jagged);
-        let mut flat = FlatMatrix::from_rows(&rows);
-        norm.apply_flat(&mut flat);
-        for (i, row) in jagged.iter().enumerate() {
-            for (a, b) in row.iter().zip(flat.row(i)) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "width mismatch")]
-    fn apply_flat_rejects_wrong_width() {
-        use crate::dataset::FlatMatrix;
+    fn apply_rejects_wrong_width() {
         let norm = Normalizer::fit(&[vec![1.0, 2.0]]);
-        let mut flat = FlatMatrix::from_rows(&[vec![1.0]]);
-        norm.apply_flat(&mut flat);
+        norm.apply(&mut [1.0]);
     }
 
     #[test]

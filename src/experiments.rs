@@ -282,7 +282,7 @@ pub fn ablations(cfg: &CampaignConfig, quiet: bool) {
     println!("\n== Ablation 6: extra classifier families (beyond the paper's four) ==");
     note(quiet, "(decision tree and k-NN on plain vs evasively perturbed Spectre)");
     {
-        use cr_spectre::hid::{DecisionTree, Detector, Knn};
+        use cr_spectre::hid::{DecisionTree, Detector, Knn, Mat};
         use cr_spectre::hpc::features::Normalizer;
         let plain = run_standalone_spectre(&AttackConfig::new(Mibench::Bitcount50M));
         let mut config = AttackConfig::new(Mibench::Bitcount50M)
@@ -293,8 +293,10 @@ pub fn ablations(cfg: &CampaignConfig, quiet: bool) {
         let noise2 = NoiseModel::fit(&train.x, cfg.noise_strength);
         noise2.apply(&mut train.x, cfg.seed, 19);
         let norm = Normalizer::fit(&train.x);
-        let mut x = train.x.clone();
-        norm.apply_all(&mut x);
+        let mut x = Mat::from_rows(&train.x);
+        for i in 0..x.rows() {
+            norm.apply(x.row_mut(i));
+        }
         let mut models: Vec<Box<dyn Detector>> =
             vec![Box::new(DecisionTree::new()), Box::new(Knn::new())];
         for model in &mut models {
@@ -302,7 +304,9 @@ pub fn ablations(cfg: &CampaignConfig, quiet: bool) {
             let rate = |outcome: &cr_spectre::attack::AttackOutcome, tag: u64| {
                 let mut rows = outcome.attack_rows(&features);
                 noise2.apply(&mut rows, cfg.seed, tag);
-                norm.apply_all(&mut rows);
+                for row in &mut rows {
+                    norm.apply(row);
+                }
                 let hits = rows.iter().filter(|r| model.predict(r) == 1).count();
                 hits as f64 / rows.len().max(1) as f64
             };

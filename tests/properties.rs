@@ -155,7 +155,9 @@ proptest! {
     ) {
         let norm = Normalizer::fit(&rows);
         let mut out = rows.clone();
-        norm.apply_all(&mut out);
+        for row in &mut out {
+            norm.apply(row);
+        }
         for col in 0..3 {
             let mean: f64 = out.iter().map(|r| r[col]).sum::<f64>() / out.len() as f64;
             prop_assert!(mean.abs() < 1e-6, "column {} mean {}", col, mean);
