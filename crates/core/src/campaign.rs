@@ -54,10 +54,9 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads for the drivers' trial fan-outs (default: all
     /// cores). Results are **bit-identical for every value** — trials
-    /// derive their randomness from their index via
-    /// [`derive_seed`](crate::parallel::derive_seed), never from
-    /// scheduling; `crates/core/tests/parallel_equivalence.rs` locks
-    /// this in.
+    /// derive their randomness from their index via [`derive_seed`],
+    /// never from scheduling; `crates/core/tests/parallel_equivalence.rs`
+    /// locks this in.
     pub threads: usize,
 }
 

@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn paper_default_flush_count_matches_model() {
         let params = PerturbParams::paper_default();
-        let m = run_perturb(&params);
+        let mut m = run_perturb(&params);
         assert_eq!(m.pmu().count(HpcEvent::Flushes), params.expected_flushes());
         // Algorithm 2 defaults: `a` grows past `i` immediately, so the `a`
         // branch flushes on all 10 iterations; `b` returns to 6 each time,
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn fences_pair_with_flushes() {
         let params = PerturbParams::paper_default();
-        let m = run_perturb(&params);
+        let mut m = run_perturb(&params);
         assert_eq!(
             m.pmu().count(HpcEvent::Fences),
             m.pmu().count(HpcEvent::Flushes),
@@ -325,8 +325,8 @@ mod tests {
     fn delay_increases_cycles_not_flushes() {
         let base = PerturbParams::paper_default();
         let delayed = PerturbParams { delay: 500, ..base };
-        let m1 = run_perturb(&base);
-        let m2 = run_perturb(&delayed);
+        let mut m1 = run_perturb(&base);
+        let mut m2 = run_perturb(&delayed);
         assert_eq!(
             m1.pmu().count(HpcEvent::Flushes),
             m2.pmu().count(HpcEvent::Flushes)

@@ -24,7 +24,6 @@
 //! Spectre exploits and the behaviour hardware-assisted detectors observe
 //! through performance counters.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
 use rand::rngs::StdRng;
@@ -203,20 +202,16 @@ pub struct Machine {
     shadow_stack: Vec<u64>,
     canary: u64,
     rng: StdRng,
-    last_evictions: Cell<u64>,
+    /// Portion of the caches' eviction total already mirrored into
+    /// [`HpcEvent::CacheEvictions`].
+    last_evictions: u64,
     /// Predecoded-instruction cache (the execution fast path).
     dcache: DecodeCache,
-    /// L1i `[access, hit, miss]` counts for *non-coalesced* fetches (the
-    /// first fetch on a new line) accumulated since the last PMU flush;
-    /// mirrored into the PMU lazily when it is observed ([`Machine::pmu`])
-    /// and at speculation squash. `Cell` so the reconciliation can run
-    /// from shared-reference accessors.
-    pend_l1i: [Cell<u64>; 3],
     /// Portion of `cycle` already mirrored into [`HpcEvent::Cycles`].
-    cycles_flushed: Cell<u64>,
+    cycles_flushed: u64,
     /// Portion of `retired` already mirrored into
     /// [`HpcEvent::Instructions`].
-    instrs_flushed: Cell<u64>,
+    instrs_flushed: u64,
     /// Hit coalescer for instruction fetches (tracks a few hot L1i
     /// lines; see [`FetchCoalescer`]). Batched hits are applied via
     /// [`Machine::apply_pending_ifetches`] before anything can observe
@@ -240,10 +235,10 @@ const COALESCE_WAYS: usize = 4;
 /// A line enters the table when it is *proven resident* (a real model
 /// access just touched it, or a read-only probe found it). From then on,
 /// accesses to tracked lines only bump counters here — no cache-model
-/// work at all. That is sound because between batch applications only
-/// hits happen (any potential miss, flush, reset or observation applies
-/// the batch first), and hits never evict, so tracked lines stay
-/// resident for the whole batch.
+/// work at all. That is sound because while a line is tracked only hits
+/// happen (any potential miss, flush or hand-out of the caches untracks
+/// every line first), and hits never evict, so tracked lines stay
+/// resident. [`Machine::settle`] applies the batch without untracking.
 ///
 /// Bit-exact replay: the model's final state after `n` interleaved hits
 /// is `tick += n`, `hits += n`, and each line's LRU stamp equal to the
@@ -260,12 +255,8 @@ struct FetchCoalescer {
     /// Slot of the most recent hit — checked first, so a run of
     /// accesses to one line costs a single compare.
     mru: usize,
-    /// Total batched hits (== the running sequence number). `Cell` so
-    /// [`Machine::flush_pending_counters`] can read it from `&self`.
-    pending: Cell<u64>,
-    /// Portion of `pending` already mirrored into the PMU (always ≤
-    /// `pending`).
-    accounted: Cell<u64>,
+    /// Total batched hits (== the running sequence number).
+    pending: u64,
     /// `!(line_size - 1)`, precomputed at construction.
     line_mask: u64,
 }
@@ -277,8 +268,7 @@ impl FetchCoalescer {
             counts: [0; COALESCE_WAYS],
             last_seq: [0; COALESCE_WAYS],
             mru: 0,
-            pending: Cell::new(0),
-            accounted: Cell::new(0),
+            pending: 0,
             line_mask: !(line_size - 1),
         }
     }
@@ -290,8 +280,8 @@ impl FetchCoalescer {
     fn note(&mut self, line: u64) -> bool {
         let m = self.mru;
         if self.lines[m] == line {
-            let seq = self.pending.get() + 1;
-            self.pending.set(seq);
+            self.pending += 1;
+            let seq = self.pending;
             self.counts[m] += 1;
             self.last_seq[m] = seq;
             return true;
@@ -303,8 +293,8 @@ impl FetchCoalescer {
     fn note_scan(&mut self, line: u64) -> bool {
         for i in 0..COALESCE_WAYS {
             if self.lines[i] == line {
-                let seq = self.pending.get() + 1;
-                self.pending.set(seq);
+                self.pending += 1;
+                let seq = self.pending;
                 self.counts[i] += 1;
                 self.last_seq[i] = seq;
                 self.mru = i;
@@ -319,8 +309,8 @@ impl FetchCoalescer {
     /// this with a free slot available (`free_slot`).
     #[inline]
     fn insert_hit(&mut self, slot: usize, line: u64) {
-        let seq = self.pending.get() + 1;
-        self.pending.set(seq);
+        self.pending += 1;
+        let seq = self.pending;
         self.lines[slot] = line;
         self.counts[slot] = 1;
         self.last_seq[slot] = seq;
@@ -328,7 +318,7 @@ impl FetchCoalescer {
     }
 
     /// Starts tracking `line` with no batched hits — used right after a
-    /// real model access already accounted for the current access.
+    /// real model access already counted the current access.
     #[inline]
     fn insert_seeded(&mut self, slot: usize, line: u64) {
         self.lines[slot] = line;
@@ -343,12 +333,11 @@ impl FetchCoalescer {
         (0..COALESCE_WAYS).find(|&i| self.lines[i] == u64::MAX)
     }
 
-    /// Drains the batch: returns `(entries, total, accounted)` where
-    /// `entries` holds `(line, last_seq)` for every line with batched
-    /// hits. Resets the table.
-    fn drain(&mut self) -> ([(u64, u64); COALESCE_WAYS], usize, u64, u64) {
-        let total = self.pending.replace(0);
-        let accounted = self.accounted.replace(0);
+    /// Takes the batch: returns `(entries, n, total)` where the first
+    /// `n` of `entries` hold `(line, last_seq)` for every line with
+    /// batched hits. The lines stay tracked, with an empty batch.
+    fn take(&mut self) -> ([(u64, u64); COALESCE_WAYS], usize, u64) {
+        let total = std::mem::take(&mut self.pending);
         let mut entries = [(0u64, 0u64); COALESCE_WAYS];
         let mut n = 0;
         for i in 0..COALESCE_WAYS {
@@ -357,18 +346,16 @@ impl FetchCoalescer {
                 n += 1;
             }
         }
-        self.lines = [u64::MAX; COALESCE_WAYS];
         self.counts = [0; COALESCE_WAYS];
         self.last_seq = [0; COALESCE_WAYS];
-        self.mru = 0;
-        (entries, n, total, accounted)
+        (entries, n, total)
     }
-}
 
-/// Increments a batched `Cell` counter (plain load + store).
-#[inline]
-fn bump(c: &Cell<u64>) {
-    c.set(c.get() + 1);
+    /// Stops tracking every line (the batch must have been taken).
+    fn untrack(&mut self) {
+        self.lines = [u64::MAX; COALESCE_WAYS];
+        self.mru = 0;
+    }
 }
 
 impl Machine {
@@ -414,11 +401,10 @@ impl Machine {
             shadow_stack: Vec::new(),
             canary,
             rng,
-            last_evictions: Cell::new(0),
+            last_evictions: 0,
             dcache: DecodeCache::new(),
-            pend_l1i: [const { Cell::new(0) }; 3],
-            cycles_flushed: Cell::new(0),
-            instrs_flushed: Cell::new(0),
+            cycles_flushed: 0,
+            instrs_flushed: 0,
             icoal: FetchCoalescer::new(cfg.caches.l1i.line_size),
             dcoal: FetchCoalescer::new(cfg.caches.l1d.line_size),
             l1d_hit_latency: cfg.caches.l1d.hit_latency,
@@ -522,8 +508,11 @@ impl Machine {
     /// Panics when the heap would run into the stack.
     pub fn alloc(&mut self, len: u64, perms: Perms) -> u64 {
         let addr = self.heap_next;
-        let size = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        assert!(addr + size < self.stack_lo, "heap exhausted");
+        let size = len
+            .div_ceil(PAGE_SIZE)
+            .checked_mul(PAGE_SIZE)
+            .filter(|&size| addr.checked_add(size).is_some_and(|end| end < self.stack_lo))
+            .expect("heap exhausted");
         self.mem.set_perms(addr, size, perms);
         self.heap_next += size;
         addr
@@ -532,8 +521,7 @@ impl Machine {
     /// Resets architectural state and points the machine at `entry`.
     ///
     /// Microarchitectural state (caches, predictors, PMU) is preserved so
-    /// campaigns can run warm; call [`Machine::reset_microarch`] for a cold
-    /// start.
+    /// campaigns can run warm.
     pub fn start(&mut self, entry: u64) {
         self.regs = [0; 16];
         self.reg_ready = [0; 16];
@@ -568,21 +556,6 @@ impl Machine {
         self.regs[Reg::R2.index()] = arg.len() as u64;
     }
 
-    /// Flushes caches and resets predictors and the PMU (cold start).
-    pub fn reset_microarch(&mut self) {
-        self.apply_pending_ifetches();
-        self.apply_pending_dfetches();
-        self.caches.flush_all();
-        self.pred = Predictor::new();
-        self.pmu.reset();
-        self.cycle = 0;
-        self.retired = 0;
-        self.last_evictions.set(0);
-        self.pend_l1i = [const { Cell::new(0) }; 3];
-        self.cycles_flushed.set(0);
-        self.instrs_flushed.set(0);
-    }
-
     // ---------------------------------------------------------------
     // Accessors
     // ---------------------------------------------------------------
@@ -614,27 +587,30 @@ impl Machine {
 
     /// The performance-counter bank.
     ///
-    /// Reading the PMU is the reconciliation point for the fast path's
-    /// batched counters: pending L1i counts, the cycle/instruction
-    /// mirrors, and the eviction mirror are settled here, so samplers
-    /// reading between steps (the HPC profiler) always observe exact
-    /// totals — identical to the per-step mirroring of the reference
-    /// implementation.
-    pub fn pmu(&self) -> &Pmu {
-        self.flush_pending_counters();
-        self.sync_eviction_counter();
+    /// This is the only way to read the bank, and it settles the fast
+    /// path's batched counters first: coalesced cache hits, the
+    /// cycle/instruction mirrors and the eviction mirror. A sampler
+    /// reading between steps (the HPC profiler) therefore sees exact
+    /// totals, identical to the reference path's per-step mirroring, and
+    /// reading changes nothing the machine later does.
+    pub fn pmu(&mut self) -> &Pmu {
+        self.settle();
         &self.pmu
     }
 
     /// The cache hierarchy (inspection).
+    ///
+    /// Residency is always exact. Hit and LRU bookkeeping is as of the
+    /// last settle: the fast path batches hits on a few hot lines until
+    /// [`Machine::pmu`], [`Machine::caches_mut`], a miss on that side, a
+    /// line flush or the machine stopping applies them.
     pub fn caches(&self) -> &CacheHierarchy {
         &self.caches
     }
 
     /// The cache hierarchy (mutation — e.g. priming experiments).
     pub fn caches_mut(&mut self) -> &mut CacheHierarchy {
-        self.apply_pending_ifetches();
-        self.apply_pending_dfetches();
+        self.untrack_lines();
         &mut self.caches
     }
 
@@ -757,14 +733,12 @@ impl Machine {
     /// Called once per completed run — never from the step loop, so the
     /// hot path pays nothing beyond one relaxed atomic load, and nothing
     /// at all when telemetry is disabled. Observation only for guest
-    /// state: reads the PMU/caches (after settling any coalesced fetch
-    /// counts), never the RNG or architectural state.
+    /// state: reads the PMU (which settles the batched counts) and the
+    /// caches, never the RNG or architectural state.
     pub fn emit_telemetry(&mut self) {
         if !telemetry::enabled() {
             return;
         }
-        self.apply_pending_ifetches();
-        self.apply_pending_dfetches();
         let pmu = self.pmu();
         telemetry::counter("sim.runs", 1);
         telemetry::counter("sim.instructions", pmu.count(HpcEvent::Instructions));
@@ -810,11 +784,11 @@ impl Machine {
     /// Executes one architectural instruction (including any transient
     /// execution it triggers) and reports whether the machine still runs.
     ///
-    /// On the fast path, batched counters are settled lazily when the PMU
-    /// is observed ([`Machine::pmu`]), so samplers reading it between
-    /// steps observe exact totals without the hot loop paying a per-step
-    /// mirror cost. The slow path reconciles the eviction mirror every
-    /// step, as the reference implementation did.
+    /// On the fast path, batched counters are settled when the PMU is
+    /// read ([`Machine::pmu`]), so samplers reading it between steps
+    /// observe exact totals without the hot loop paying a per-step mirror
+    /// cost. The slow path mirrors every counter every step, as the
+    /// reference implementation did.
     pub fn step(&mut self) -> StepStatus {
         // A step fails exactly when it leaves the machine stopped.
         let _ = if self.cfg.fast_path {
@@ -862,7 +836,7 @@ impl Machine {
         self.retired += 1;
         if !FAST {
             self.pmu.incr(HpcEvent::Instructions);
-            self.instrs_flushed.set(self.retired);
+            self.instrs_flushed = self.retired;
         }
         self.exec::<FAST>(pc, instr)
     }
@@ -950,7 +924,7 @@ impl Machine {
     fn count_instr_fetch<const FAST: bool>(&mut self, pc: u64, mode: FetchMode) {
         if FAST {
             // One counter bump covers the model hit and both PMU
-            // events; the split happens at apply/flush time.
+            // events; the split happens when the batch is applied.
             if !self.icoal.note(pc & self.icoal.line_mask) {
                 self.count_untracked_fetch(pc, mode);
             }
@@ -970,15 +944,15 @@ impl Machine {
 
     /// Fast-path fetch on a line the coalescer does not track. A resident
     /// line joins the table via a read-only probe; a genuine miss applies
-    /// the batch, runs the real access, and (for architectural fetches)
-    /// pays the miss latency immediately since it orders the rest of the
-    /// step. Non-coalesced L1i counter updates are batched into
-    /// `pend_l1i`.
+    /// the batch, untracks its lines, runs the real access and counts it
+    /// in the PMU directly, and (for architectural fetches) pays the miss
+    /// latency immediately since it orders the rest of the step.
     fn count_untracked_fetch(&mut self, pc: u64, mode: FetchMode) {
         let line = pc & self.icoal.line_mask;
         let mut slot = self.icoal.free_slot();
         if slot.is_none() {
             self.apply_pending_ifetches();
+            self.icoal.untrack();
             slot = Some(0);
         }
         if self.caches.l1i_probe(line) {
@@ -986,106 +960,78 @@ impl Machine {
             return;
         }
         self.apply_pending_ifetches();
+        self.icoal.untrack();
         let fetch = self.caches.access_instr(pc);
         self.icoal.insert_seeded(0, line);
-        bump(&self.pend_l1i[0]);
+        self.pmu.incr(HpcEvent::L1iAccess);
         if fetch.l1_hit {
-            bump(&self.pend_l1i[1]);
+            self.pmu.incr(HpcEvent::L1iHit);
         } else {
-            bump(&self.pend_l1i[2]);
+            self.pmu.incr(HpcEvent::L1iMiss);
             if mode == FetchMode::Step {
                 self.tick::<true>(fetch.latency);
             }
         }
     }
 
-    /// Applies the coalesced same-line fetch hits to the L1i model.
-    /// Must run before anything that could observe or disturb L1i state:
-    /// a different-line fetch, a line flush, a microarchitectural reset,
-    /// telemetry emission, handing out `&mut CacheHierarchy`, or the
-    /// machine stopping.
+    /// Applies the coalesced fetch hits to the L1i model and the PMU. The
+    /// lines stay tracked: hits never change residency. Anything that
+    /// may change residency (a miss, a line flush, handing out
+    /// `&mut CacheHierarchy`, the machine stopping) also untracks them.
     fn apply_pending_ifetches(&mut self) {
-        let (entries, n, total, accounted) = self.icoal.drain();
+        let (entries, n, total) = self.icoal.take();
         if total > 0 {
             self.caches.l1i_bulk_batch(&entries[..n], total);
-            // Only the portion a PMU flush has not already mirrored.
-            let unaccounted = total - accounted;
-            if unaccounted > 0 {
-                self.pmu.add(HpcEvent::L1iAccess, unaccounted);
-                self.pmu.add(HpcEvent::L1iHit, unaccounted);
-            }
+            self.pmu.add(HpcEvent::L1iAccess, total);
+            self.pmu.add(HpcEvent::L1iHit, total);
         }
     }
 
-    /// Applies the coalesced data hits to the L1d model — the data-side
-    /// counterpart of [`Machine::apply_pending_ifetches`], with the same
-    /// ordering obligations.
+    /// Applies the coalesced data hits to the L1d model and the PMU — the
+    /// data-side counterpart of [`Machine::apply_pending_ifetches`].
     fn apply_pending_dfetches(&mut self) {
-        let (entries, n, total, accounted) = self.dcoal.drain();
+        let (entries, n, total) = self.dcoal.take();
         if total > 0 {
             self.caches.l1d_bulk_batch(&entries[..n], total);
-            let unaccounted = total - accounted;
-            if unaccounted > 0 {
-                self.pmu.add(HpcEvent::L1dAccess, unaccounted);
-                self.pmu.add(HpcEvent::L1dHit, unaccounted);
-                self.pmu.add(HpcEvent::TotalCacheAccess, unaccounted);
-            }
+            self.pmu.add(HpcEvent::L1dAccess, total);
+            self.pmu.add(HpcEvent::L1dHit, total);
+            self.pmu.add(HpcEvent::TotalCacheAccess, total);
         }
     }
 
-    /// Mirrors the batched counters into the PMU: pending L1i counts plus
-    /// the cycle and retired-instruction deltas since the previous flush.
-    /// Runs whenever the PMU is observed ([`Machine::pmu`]) and at
-    /// speculation squash, so PMU readers sampling between steps always
-    /// see exact totals. `&self` (over `Cell` state) so the observation
-    /// accessor can reconcile.
-    fn flush_pending_counters(&self) {
-        // Coalesced same-line hits not yet applied to the cache model:
-        // mirror the PMU-visible portion now and remember how much, so the
-        // eventual apply only adds the remainder.
-        let delta = self.icoal.pending.get() - self.icoal.accounted.get();
-        if delta > 0 {
-            self.pmu.add(HpcEvent::L1iAccess, delta);
-            self.pmu.add(HpcEvent::L1iHit, delta);
-            self.icoal.accounted.set(self.icoal.pending.get());
-        }
-        let delta = self.dcoal.pending.get() - self.dcoal.accounted.get();
-        if delta > 0 {
-            self.pmu.add(HpcEvent::L1dAccess, delta);
-            self.pmu.add(HpcEvent::L1dHit, delta);
-            self.pmu.add(HpcEvent::TotalCacheAccess, delta);
-            self.dcoal.accounted.set(self.dcoal.pending.get());
-        }
-        let access = self.pend_l1i[0].replace(0);
-        if access > 0 {
-            self.pmu.add(HpcEvent::L1iAccess, access);
-            self.pmu.add(HpcEvent::L1iHit, self.pend_l1i[1].replace(0));
-            self.pmu.add(HpcEvent::L1iMiss, self.pend_l1i[2].replace(0));
-        }
-        if self.cycle > self.cycles_flushed.get() {
-            self.pmu.add(HpcEvent::Cycles, self.cycle - self.cycles_flushed.get());
-            self.cycles_flushed.set(self.cycle);
-        }
-        if self.retired > self.instrs_flushed.get() {
-            self.pmu.add(HpcEvent::Instructions, self.retired - self.instrs_flushed.get());
-            self.instrs_flushed.set(self.retired);
-        }
+    /// Applies both batches and untracks every coalesced line, before
+    /// anything that may change residency.
+    fn untrack_lines(&mut self) {
+        self.apply_pending_ifetches();
+        self.apply_pending_dfetches();
+        self.icoal.untrack();
+        self.dcoal.untrack();
     }
 
-    fn sync_eviction_counter(&self) {
+    /// The one settle point for the fast path's batched counters, run by
+    /// [`Machine::pmu`]: applies both coalescers' pending hits (keeping
+    /// their lines tracked), then mirrors the cycle, instruction and
+    /// eviction deltas.
+    fn settle(&mut self) {
+        self.apply_pending_ifetches();
+        self.apply_pending_dfetches();
+        self.pmu.add(HpcEvent::Cycles, self.cycle - self.cycles_flushed);
+        self.cycles_flushed = self.cycle;
+        self.pmu.add(HpcEvent::Instructions, self.retired - self.instrs_flushed);
+        self.instrs_flushed = self.retired;
+        self.sync_eviction_counter();
+    }
+
+    fn sync_eviction_counter(&mut self) {
         let total = self.caches.total_evictions();
-        let delta = total - self.last_evictions.get();
-        if delta > 0 {
-            self.pmu.add(HpcEvent::CacheEvictions, delta);
-            self.last_evictions.set(total);
-        }
+        self.pmu.add(HpcEvent::CacheEvictions, total - self.last_evictions);
+        self.last_evictions = total;
     }
 
     /// Records why the machine stopped; the returned token is the `Err`
     /// of every step helper.
     fn stop(&mut self, exit: ExitReason) -> Stopped {
-        self.apply_pending_ifetches();
-        self.apply_pending_dfetches();
+        self.untrack_lines();
         self.stopped = Some(exit);
         Stopped
     }
@@ -1102,15 +1048,15 @@ impl Machine {
     }
 
     /// Advances time. On the fast path the [`HpcEvent::Cycles`] mirror is
-    /// updated lazily by [`Machine::flush_pending_counters`] when the PMU
-    /// is next observed; the slow path mirrors immediately, like the
-    /// reference implementation always did.
+    /// updated by [`Machine::settle`] when the PMU is next read; the slow
+    /// path mirrors immediately, like the reference implementation always
+    /// did.
     #[inline(always)]
     fn tick<const FAST: bool>(&mut self, n: u64) {
         self.cycle += n;
         if !FAST {
             self.pmu.add(HpcEvent::Cycles, n);
-            self.cycles_flushed.set(self.cycle);
+            self.cycles_flushed = self.cycle;
         }
     }
 
@@ -1185,6 +1131,7 @@ impl Machine {
             let mut slot = self.dcoal.free_slot();
             if slot.is_none() {
                 self.apply_pending_dfetches();
+                self.dcoal.untrack();
                 slot = Some(0);
             }
             if self.caches.l1d_probe(line) {
@@ -1192,6 +1139,7 @@ impl Machine {
                 return hit;
             }
             self.apply_pending_dfetches();
+            self.dcoal.untrack();
             let result = self.caches.access_data(addr);
             self.dcoal.insert_seeded(0, line);
             self.count_data_access(result, write);
@@ -1483,8 +1431,7 @@ impl Machine {
                 }
                 self.wait_ready::<FAST>(&[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                self.apply_pending_ifetches();
-                self.apply_pending_dfetches();
+                self.untrack_lines();
                 self.caches.flush_line(addr);
                 self.pmu.incr(HpcEvent::Flushes);
                 self.tick::<FAST>(4);
@@ -1800,8 +1747,7 @@ impl Machine {
                     scycle = scycle.max(wait(&ready, &[rs1]));
                     // Flushes are microarchitectural: they persist.
                     let addr = regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                    self.apply_pending_ifetches();
-                    self.apply_pending_dfetches();
+                    self.untrack_lines();
                     self.caches.flush_line(addr);
                 }
             }
@@ -1816,9 +1762,6 @@ impl Machine {
         self.pmu.add(HpcEvent::SpecStores, stores);
         self.pmu.add(HpcEvent::SpecFaultsSuppressed, suppressed);
         self.pmu.incr(HpcEvent::SpecSquashes);
-        // A squash is a public boundary (`speculate_at`), so the batched
-        // L1i counts must land now, not at the next architectural step.
-        self.flush_pending_counters();
         // Squash: regs/ready/store_buf are dropped; cache + PMU persist.
     }
 
@@ -1926,7 +1869,7 @@ mod tests {
     #[test]
     fn branch_loop_counts_events() {
         // for (r1 = 0; r1 != 10; r1++) {}
-        let (m, out) = run_program(&[
+        let (mut m, out) = run_program(&[
             Instr::Ldi(Reg::R1, 0),
             Instr::Ldi(Reg::R2, 10),
             // loop:
@@ -1943,7 +1886,7 @@ mod tests {
 
     #[test]
     fn call_ret_round_trip() {
-        let (m, out) = run_program(&[
+        let (mut m, out) = run_program(&[
             Instr::Call(3 * INSTR_BYTES as i32), // call f (skips next 2)
             Instr::Ldi(Reg::R2, 99),             // after return
             Instr::Halt,
@@ -2359,6 +2302,13 @@ mod tests {
         let b = base_of(Some(1234567));
         assert_ne!(a, b, "different seeds give different bases");
         assert_eq!(a % PAGE_SIZE, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "heap exhausted")]
+    fn alloc_of_an_address_space_sized_block_panics() {
+        let mut m = Machine::new(MachineConfig::default());
+        m.alloc(u64::MAX - 5, Perms::RW);
     }
 
     #[test]

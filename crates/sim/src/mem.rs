@@ -169,7 +169,10 @@ impl Memory {
     ///
     /// Panics if the range extends beyond the end of memory.
     pub fn set_perms(&mut self, addr: u64, len: u64, perms: Perms) {
-        assert!(addr + len <= self.size(), "set_perms out of range");
+        assert!(
+            addr.checked_add(len).is_some_and(|end| end <= self.size()),
+            "set_perms out of range"
+        );
         if len == 0 {
             return;
         }
@@ -596,5 +599,12 @@ mod tests {
         assert_eq!(mem.read_cstr(PAGE_SIZE - 2, 64).unwrap(), b"spectre");
         // Zero-length request reads nothing, even from a bad address.
         assert_eq!(mem.read_cstr(u64::MAX, 0).unwrap(), b"");
+    }
+
+    #[test]
+    #[should_panic(expected = "set_perms out of range")]
+    fn set_perms_range_past_the_address_space_panics() {
+        let mut mem = Memory::new(PAGE_SIZE);
+        mem.set_perms(u64::MAX - 10, 20, Perms::RW);
     }
 }

@@ -6,7 +6,6 @@
 //! simulator and a [`Pmu`] counter bank with snapshot/delta support used by
 //! the `cr-spectre-hpc` profiler.
 
-use std::cell::Cell;
 use std::fmt;
 use std::ops::{Index, Sub};
 
@@ -291,20 +290,17 @@ impl Sub for PmuSnapshot {
 
 /// The live counter bank.
 ///
-/// Counters use [`Cell`] interior mutability so that shared-reference
-/// observation points can settle lazily batched updates: the simulator's
-/// fast path accumulates hot-loop counts locally and mirrors them into
-/// the bank when the PMU is *read* (`Machine::pmu`), not on every step.
-/// `Cell<u64>` compiles to plain loads and stores, so the counters cost
-/// the same as bare integers; the bank is `Send` but (like the rest of a
-/// `Machine`) not `Sync`.
+/// Plain integers, written through `&mut self`. A machine's bank is read
+/// through [`Machine::pmu`](crate::cpu::Machine::pmu), which first
+/// settles the counts the simulator's fast path batches, so a reader
+/// never sees a partial total.
 ///
 /// # Examples
 ///
 /// ```
 /// use cr_spectre_sim::pmu::{HpcEvent, Pmu};
 ///
-/// let pmu = Pmu::new();
+/// let mut pmu = Pmu::new();
 /// pmu.add(HpcEvent::Instructions, 3);
 /// let before = pmu.snapshot();
 /// pmu.add(HpcEvent::Instructions, 2);
@@ -313,45 +309,36 @@ impl Sub for PmuSnapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pmu {
-    counts: [Cell<u64>; HpcEvent::COUNT],
+    counts: [u64; HpcEvent::COUNT],
 }
 
 impl Pmu {
     /// Creates a zeroed counter bank.
     pub fn new() -> Pmu {
-        Pmu { counts: [const { Cell::new(0) }; HpcEvent::COUNT] }
+        Pmu { counts: [0; HpcEvent::COUNT] }
     }
 
     /// Increments `event` by one.
     #[inline]
-    pub fn incr(&self, event: HpcEvent) {
-        let c = &self.counts[event.index()];
-        c.set(c.get() + 1);
+    pub fn incr(&mut self, event: HpcEvent) {
+        self.counts[event.index()] += 1;
     }
 
     /// Adds `n` to `event`.
     #[inline]
-    pub fn add(&self, event: HpcEvent, n: u64) {
-        let c = &self.counts[event.index()];
-        c.set(c.get() + n);
+    pub fn add(&mut self, event: HpcEvent, n: u64) {
+        self.counts[event.index()] += n;
     }
 
     /// Current value of `event`.
     #[inline]
     pub fn count(&self, event: HpcEvent) -> u64 {
-        self.counts[event.index()].get()
+        self.counts[event.index()]
     }
 
     /// Copies the current counters into an immutable snapshot.
     pub fn snapshot(&self) -> PmuSnapshot {
-        PmuSnapshot { counts: std::array::from_fn(|i| self.counts[i].get()) }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for c in &self.counts {
-            c.set(0);
-        }
+        PmuSnapshot { counts: self.counts }
     }
 }
 
@@ -395,7 +382,7 @@ mod tests {
 
     #[test]
     fn snapshot_delta() {
-        let pmu = Pmu::new();
+        let mut pmu = Pmu::new();
         pmu.add(HpcEvent::Cycles, 100);
         pmu.add(HpcEvent::Instructions, 50);
         let a = pmu.snapshot();
@@ -409,30 +396,21 @@ mod tests {
 
     #[test]
     fn delta_saturates_instead_of_underflowing() {
-        let pmu = Pmu::new();
+        let mut pmu = Pmu::new();
         pmu.add(HpcEvent::Cycles, 5);
         let later = pmu.snapshot();
-        pmu.reset();
-        pmu.add(HpcEvent::Cycles, 2);
-        let earlier_after_reset = pmu.snapshot();
-        let d = earlier_after_reset - later;
+        let mut fresh = Pmu::new();
+        fresh.add(HpcEvent::Cycles, 2);
+        let d = fresh.snapshot() - later;
         assert_eq!(d.count(HpcEvent::Cycles), 0);
     }
 
     #[test]
     fn ipc() {
-        let pmu = Pmu::new();
+        let mut pmu = Pmu::new();
         assert_eq!(pmu.snapshot().ipc(), 0.0);
         pmu.add(HpcEvent::Instructions, 300);
         pmu.add(HpcEvent::Cycles, 100);
         assert!((pmu.snapshot().ipc() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let pmu = Pmu::new();
-        pmu.incr(HpcEvent::Flushes);
-        pmu.reset();
-        assert_eq!(pmu.snapshot(), PmuSnapshot::zero());
     }
 }

@@ -76,8 +76,8 @@ fn guest_store_into_own_text_executes_new_bytes() {
 
 #[test]
 fn self_modifying_run_is_identical_with_fast_path_off() {
-    let fast = run_self_patching(true);
-    let slow = run_self_patching(false);
+    let mut fast = run_self_patching(true);
+    let mut slow = run_self_patching(false);
     assert_eq!(fast.reg(Reg::R5), slow.reg(Reg::R5));
     assert_eq!(fast.cycles(), slow.cycles(), "identical timing");
     assert_eq!(
@@ -270,8 +270,28 @@ fn call_ret_mix_over_64k_buffer_is_identical_fast_vs_slow() {
     );
 }
 
+#[test]
+fn reading_the_pmu_after_every_step_changes_nothing() {
+    // Each read settles the fast path's batched counts; a settle that lost
+    // or double-counted a batch, or disturbed the cache model, would show
+    // up against the run that never reads.
+    let run = |read_every_step: bool| {
+        let (mut m, _) = mix_machine(true, 500);
+        while m.step() == StepStatus::Running {
+            if read_every_step {
+                m.pmu();
+            }
+        }
+        let caches = m.caches();
+        let levels = [caches.l1d(), caches.l1i(), caches.l2()]
+            .map(|c| (c.hits(), c.misses(), c.evictions()));
+        (m.cycles(), levels, m.pmu().snapshot())
+    };
+    assert_eq!(run(true), run(false));
+}
+
 /// Everything a window sampler can observe of a machine between calls.
-fn observe(m: &Machine) -> (u64, Vec<u64>, u64, u64, cr_spectre_sim::pmu::PmuSnapshot) {
+fn observe(m: &mut Machine) -> (u64, Vec<u64>, u64, u64, cr_spectre_sim::pmu::PmuSnapshot) {
     let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
     (m.pc(), regs, m.cycles(), m.instructions(), m.pmu().snapshot())
 }
@@ -294,7 +314,7 @@ fn assert_ladder_matches_steps(mut window: Machine, mut oracle: Machine, rung: u
         }
         windows += 1;
         assert_eq!(got, want, "window {windows} (limit {limit}): exit");
-        assert_eq!(observe(&window), observe(&oracle), "window {windows} (limit {limit}): state");
+        assert_eq!(observe(&mut window), observe(&mut oracle), "window {windows} (limit {limit}): state");
         if got.is_some() {
             break;
         }
@@ -326,19 +346,19 @@ fn run_until_edge_cases() {
         // A limit at or below the current cycle executes nothing.
         let (mut m, _) = mix_machine(fast_path, 100);
         assert_eq!(m.run_until(500), None);
-        let before = observe(&m);
+        let before = observe(&mut m);
         assert!(before.2 >= 500);
         assert_eq!(m.run_until(before.2), None, "limit == cycles()");
         assert_eq!(m.run_until(0), None, "limit < cycles()");
-        assert_eq!(observe(&m), before, "no instruction ran");
+        assert_eq!(observe(&mut m), before, "no instruction ran");
 
         // A stopped machine returns its stored exit, whatever the limit.
         let exit = m.run_until(u64::MAX);
         assert_eq!(exit, Some(ExitReason::Halted));
-        let stopped = observe(&m);
+        let stopped = observe(&mut m);
         assert_eq!(m.run_until(u64::MAX), exit);
         assert_eq!(m.run_until(0), exit);
-        assert_eq!(observe(&m), stopped, "a stopped machine stays put");
+        assert_eq!(observe(&mut m), stopped, "a stopped machine stays put");
 
         // The instruction budget surfaces through `run_until` too.
         let cfg = MachineConfig { fast_path, max_instructions: 1_000, ..MachineConfig::default() };

@@ -142,7 +142,7 @@ proptest! {
         incs in proptest::collection::vec((0u8..56, 1u64..1000), 1..30),
         at_split in 0usize..30,
     ) {
-        let pmu = Pmu::new();
+        let mut pmu = Pmu::new();
         let a = pmu.snapshot();
         let split = at_split.min(incs.len());
         for &(e, n) in &incs[..split] {

@@ -255,6 +255,31 @@ fn table1_overheads_are_finite_and_ipcs_positive() {
     }
 }
 
+/// Smoke scale on the reference execution path. The goldens were recorded
+/// on the fast path, so these pin fast ≡ reference at campaign scale.
+/// fig6, the slowest driver on this path, is left to
+/// `crates/core/tests/fastpath_equivalence.rs`.
+fn reference_smoke() -> CampaignConfig {
+    let mut cfg = CampaignConfig::smoke();
+    cfg.machine.fast_path = false;
+    cfg
+}
+
+#[test]
+fn fig4_on_the_reference_path_matches_the_golden() {
+    assert_golden("fig4 (reference path)", &fig4(&reference_smoke()), FIG4_GOLDEN);
+}
+
+#[test]
+fn fig5_on_the_reference_path_matches_the_golden() {
+    assert_golden("fig5 (reference path)", &fig5(&reference_smoke()), FIG5_GOLDEN);
+}
+
+#[test]
+fn table1_on_the_reference_path_matches_the_golden() {
+    assert_golden("table1 (reference path)", &table1(&reference_smoke(), 1), TABLE1_GOLDEN);
+}
+
 #[test]
 fn campaign_results_do_not_depend_on_thread_count() {
     // The engine's contract, checked here through the public façade (the
