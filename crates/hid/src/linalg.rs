@@ -6,21 +6,23 @@
 //!   original jagged `Vec<Vec<f64>>` implementations were written
 //!   against — kept verbatim, because they define the reference
 //!   floating-point evaluation order;
-//! * the flat math core ([`Mat`], [`dot4`], [`gemm_nt`],
-//!   [`matvec_into`]) the detectors run on: one contiguous row-major
-//!   allocation per matrix, cache-blocked GEMM, and a lane kernel that
-//!   runs four dot products side by side. [`Mat`] is the crate's only
-//!   matrix type: normalized corpora, query batches, weight layers and
-//!   activations, and the argument of every [`crate::Detector`] method
-//!   that takes more than one row.
+//! * the flat math core ([`Mat`], [`dot4`], [`matvec_into`],
+//!   [`gemm_wxt`]) the detectors run on: one contiguous row-major
+//!   allocation per matrix and two lane kernels. [`dot4`] runs four dot
+//!   products side by side across rows (the per-sample forward pass and
+//!   the linear models); [`gemm_wxt`] runs a whole batch through one
+//!   network layer with feature-major activations, its lanes across the
+//!   batch. [`Mat`] is the crate's only matrix type: normalized corpora,
+//!   query batches, weight layers and activations, and the argument of
+//!   every [`crate::Detector`] method that takes more than one row.
 //!
 //! **Bit-exactness contract:** [`dot`]'s fold order is the only
 //! reduction order; lanes run independent folds. Every element any flat
 //! routine produces is one fold that starts at −0.0 (as Rust's f64 `sum`
-//! does) and adds its products left to right over k. [`dot4`] only
-//! interleaves four such folds so their add chains overlap in the
-//! pipeline, and blocking only reorders which (row, column) pairs are
-//! visited — never the additions inside one pair.
+//! does) and adds its products left to right over k. [`dot4`] and
+//! [`gemm_wxt`] only interleave such folds so their add chains overlap
+//! in the pipeline (and, in [`gemm_wxt`], share one vector load per k);
+//! they never split or reorder the additions inside one fold.
 //! `crates/hid/tests/fastmath_equivalence.rs` and the proptests in
 //! `crates/hid/tests/props.rs` lock this in against the seed
 //! implementations.
@@ -166,6 +168,17 @@ impl Mat {
         (0..self.rows).map(move |i| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 
+    /// The `cols × rows` transpose, as a new matrix.
+    pub fn transpose(&self) -> Mat {
+        let mut t = Mat::zeros(self.cols, self.rows);
+        for (i, row) in self.iter_rows().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                t.data[c * self.rows + i] = v;
+            }
+        }
+        t
+    }
+
     /// Reshapes in place to `rows × cols`, zero-filling; keeps the
     /// allocation when capacity suffices.
     pub fn reset(&mut self, rows: usize, cols: usize) {
@@ -204,10 +217,85 @@ pub fn dot4(x: &[f64], r0: &[f64], r1: &[f64], r2: &[f64], r3: &[f64]) -> [f64; 
     acc
 }
 
-/// `out[t] = dot(m.row(first + t), x)`: four rows per [`dot4`], with a
-/// scalar [`dot`] tail for the last `out.len() % 4` rows.
-fn dot_rows(m: &Mat, first: usize, x: &[f64], out: &mut [f64]) {
-    let mut j = first;
+/// Batch columns per lane tile of [`gemm_wxt`]: eight f64 folds side
+/// by side, which the baseline SSE2 build runs as four 2-wide vector
+/// adds (two with AVX2).
+const LANES: usize = 8;
+
+/// `out = w · xt` — a whole batch through one layer, feature-major:
+/// `w` is the `units × k` weight matrix (row `j` is unit `j`'s fan-in),
+/// `xt` the `k × batch` activations with one column per sample, and
+/// `out` the `units × batch` result.
+///
+/// Lanes run across the batch. For each tile of two units × 8 samples
+/// the kernel keeps one accumulator per output element, seeded at
+/// −0.0, and runs k outer and in order, adding `w[j][k] * xt[k][i..i +
+/// 8]` from one unit-stride load of `xt`'s row k. So every output
+/// element is exactly `dot(w.row(j), column i of xt)`: the same fold,
+/// only many of them interleaved. An odd last unit runs the same loop
+/// one unit wide, and the last `batch % 8` samples run it one sample
+/// wide.
+///
+/// # Panics
+///
+/// Panics when the shapes disagree.
+pub fn gemm_wxt(w: &Mat, xt: &Mat, out: &mut Mat) {
+    assert_eq!(w.cols(), xt.rows(), "gemm_wxt inner dimensions differ");
+    assert_eq!(out.rows(), w.rows(), "gemm_wxt output rows mismatch");
+    assert_eq!(out.cols(), xt.cols(), "gemm_wxt output cols mismatch");
+    let mut j = 0;
+    while j + 2 <= w.rows() {
+        unit_tile::<2>(w, j, xt, out);
+        j += 2;
+    }
+    if j < w.rows() {
+        unit_tile::<1>(w, j, xt, out);
+    }
+}
+
+/// Rows `j..j + R` of [`gemm_wxt`]'s output: [`LANES`]-wide tiles
+/// across the batch, then the batch tail one column at a time.
+fn unit_tile<const R: usize>(w: &Mat, j: usize, xt: &Mat, out: &mut Mat) {
+    let (k, n) = (w.cols(), xt.cols());
+    let units: [&[f64]; R] = std::array::from_fn(|r| &w.row(j + r)[..k]);
+    let full = n - n % LANES;
+    for i in (0..full).step_by(LANES) {
+        let mut acc = [[-0.0f64; LANES]; R];
+        for (kk, xrow) in xt.iter_rows().enumerate() {
+            let x: &[f64; LANES] = xrow[i..i + LANES].try_into().expect("lane tile");
+            for (a, unit) in acc.iter_mut().zip(&units) {
+                let wk = unit[kk];
+                for (al, &xl) in a.iter_mut().zip(x) {
+                    *al += wk * xl;
+                }
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            out.row_mut(j + r)[i..i + LANES].copy_from_slice(a);
+        }
+    }
+    for i in full..n {
+        for (r, unit) in units.iter().enumerate() {
+            let mut acc = -0.0f64;
+            for (&wk, xrow) in unit.iter().zip(xt.iter_rows()) {
+                acc += wk * xrow[i];
+            }
+            out.row_mut(j + r)[i] = acc;
+        }
+    }
+}
+
+/// `out[j] = dot(m.row(j), x)` without allocating — the flat
+/// counterpart of [`matvec`]: four rows per [`dot4`], with a scalar
+/// [`dot`] tail for the last `m.rows() % 4` rows.
+///
+/// # Panics
+///
+/// Panics when the shapes disagree.
+pub fn matvec_into(m: &Mat, x: &[f64], out: &mut [f64]) {
+    assert_eq!(m.cols(), x.len(), "matvec_into width mismatch");
+    assert_eq!(m.rows(), out.len(), "matvec_into output length mismatch");
+    let mut j = 0;
     let mut quads = out.chunks_exact_mut(4);
     for q in &mut quads {
         q.copy_from_slice(&dot4(x, m.row(j), m.row(j + 1), m.row(j + 2), m.row(j + 3)));
@@ -217,50 +305,6 @@ fn dot_rows(m: &Mat, first: usize, x: &[f64], out: &mut [f64]) {
         *o = dot(m.row(j), x);
         j += 1;
     }
-}
-
-/// Cache-block edge for [`gemm_nt`]: 32×32 output tiles keep one tile
-/// of each operand (~8 KiB at 4-wide features, still fine at 32-wide
-/// hidden layers) resident in L1 while the full-k inner loop runs.
-const GEMM_BLOCK: usize = 32;
-
-/// `out = a · bᵀ` — the whole-batch product of two row-major matrices
-/// sharing their inner (k) dimension, i/j-blocked for cache reuse and
-/// register-blocked four j-columns at a time through [`dot4`].
-///
-/// Every output element is exactly `dot(a.row(i), b.row(j))`: the k
-/// loop is never split, so each element's floating-point fold matches
-/// the scalar seed path bit for bit.
-///
-/// # Panics
-///
-/// Panics when the shapes disagree.
-pub fn gemm_nt(a: &Mat, b: &Mat, out: &mut Mat) {
-    assert_eq!(a.cols(), b.cols(), "gemm_nt inner dimensions differ");
-    assert_eq!(out.rows(), a.rows(), "gemm_nt output rows mismatch");
-    assert_eq!(out.cols(), b.rows(), "gemm_nt output cols mismatch");
-    let (m, n) = (a.rows(), b.rows());
-    for ib in (0..m).step_by(GEMM_BLOCK) {
-        let ie = (ib + GEMM_BLOCK).min(m);
-        for jb in (0..n).step_by(GEMM_BLOCK) {
-            let je = (jb + GEMM_BLOCK).min(n);
-            for i in ib..ie {
-                dot_rows(b, jb, a.row(i), &mut out.row_mut(i)[jb..je]);
-            }
-        }
-    }
-}
-
-/// `out[j] = dot(m.row(j), x)` without allocating — the flat
-/// counterpart of [`matvec`], four rows at a time through [`dot4`].
-///
-/// # Panics
-///
-/// Panics when the shapes disagree.
-pub fn matvec_into(m: &Mat, x: &[f64], out: &mut [f64]) {
-    assert_eq!(m.cols(), x.len(), "matvec_into width mismatch");
-    assert_eq!(m.rows(), out.len(), "matvec_into output length mismatch");
-    dot_rows(m, 0, x, out);
 }
 
 #[cfg(test)]
@@ -380,34 +424,37 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_matches_per_element_dot() {
-        // Shapes straddling the 32-wide block edge, and n ≡ 1, 2, 3
-        // (mod 4) below it so the scalar tail after the 4-wide lanes runs.
-        for (m, n, k) in
-            [(1, 1, 1), (3, 5, 4), (4, 6, 3), (5, 7, 9), (33, 34, 7), (64, 32, 33), (2, 2, 0)]
+    fn gemm_wxt_matches_per_element_dot() {
+        // Unit counts odd and even (the one-unit tail), batch widths
+        // below, at and past the 8-wide lane tile (the per-sample tail),
+        // and k = 0.
+        for (units, n, k) in
+            [(1, 1, 1), (3, 5, 4), (5, 7, 9), (2, 8, 7), (33, 34, 7), (32, 64, 33), (2, 2, 0)]
         {
-            let a = Mat::from_vec(
-                (0..m * k).map(|v| (v as f64).sin()).collect(),
-                m,
-                k,
-            );
-            let b = Mat::from_vec(
-                (0..n * k).map(|v| (v as f64 * 0.7).cos()).collect(),
-                n,
-                k,
-            );
-            let mut c = Mat::zeros(m, n);
-            gemm_nt(&a, &b, &mut c);
-            for i in 0..m {
-                for j in 0..n {
+            let w = Mat::from_vec((0..units * k).map(|v| (v as f64).sin()).collect(), units, k);
+            let x = Mat::from_vec((0..n * k).map(|v| (v as f64 * 0.7).cos()).collect(), n, k);
+            let mut out = Mat::zeros(units, n);
+            gemm_wxt(&w, &x.transpose(), &mut out);
+            for j in 0..units {
+                for i in 0..n {
                     assert_eq!(
-                        c.row(i)[j].to_bits(),
-                        dot(a.row(i), b.row(j)).to_bits(),
-                        "({m},{n},{k}) element ({i},{j})"
+                        out.row(j)[i].to_bits(),
+                        dot(w.row(j), x.row(i)).to_bits(),
+                        "({units},{n},{k}) element ({j},{i})"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn transpose_swaps_rows_and_columns() {
+        let m = Mat::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let t = m.transpose();
+        assert_eq!((t.rows(), t.cols()), (3, 2));
+        assert_eq!(t.as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        assert_eq!(t.transpose(), m);
+        assert_eq!(Mat::zeros(0, 4).transpose(), Mat::zeros(4, 0));
     }
 
     #[test]

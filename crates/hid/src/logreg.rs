@@ -174,4 +174,13 @@ mod tests {
         let per_row: Vec<u8> = x.iter_rows().map(|r| lr.predict(r)).collect();
         assert_eq!(batch, per_row);
     }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn batch_prediction_rejects_a_wider_input() {
+        let (x, y) = blobs(40, 3, 2.0, 19);
+        let mut lr = LogisticRegression::new();
+        lr.fit(&x, &y);
+        let _ = lr.predict_batch(&Mat::zeros(8, 4));
+    }
 }

@@ -7,11 +7,13 @@
 //! is output unit `j`'s fan-in). A fit allocates its activation and
 //! gradient buffers once, so no epoch allocates. The per-sample forward
 //! pass computes four output units at a time through [`matvec_into`]'s
-//! lane kernel, backprop makes one pass over each layer's rows, and
-//! [`DenseNet::predict_batch`] forwards the whole batch through
-//! [`gemm_nt`]. Every dot product keeps the seed implementation's fold
-//! (−0.0 start, k in order), so weights and predictions are
-//! bit-identical to the jagged `Vec<Vec<Vec<f64>>>` original (kept as
+//! lane kernel, and backprop makes one pass over each layer's rows.
+//! [`DenseNet::predict_proba_batch`] runs the whole batch feature-major:
+//! it transposes the input once and passes `units × batch` activations
+//! through one [`gemm_wxt`] per layer, lanes across the batch. Every dot
+//! product keeps the seed implementation's fold (−0.0 start, k in
+//! order), so weights and predictions are bit-identical to the jagged
+//! `Vec<Vec<Vec<f64>>>` original (kept as
 //! [`crate::reference::RefDenseNet`] and locked by
 //! `tests/fastmath_equivalence.rs`).
 
@@ -21,7 +23,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::detector::Detector;
-use crate::linalg::{gemm_nt, matvec_into, relu, relu_grad, sigmoid, Mat};
+use crate::linalg::{gemm_wxt, matvec_into, relu, relu_grad, sigmoid, Mat};
 
 /// A dense network with ReLU hidden layers and a single sigmoid output,
 /// trained with per-sample SGD on binary cross-entropy.
@@ -212,6 +214,40 @@ impl DenseNet {
         self.forward_scratch(row, &mut s);
         *s.acts.last().expect("output layer").first().expect("output unit")
     }
+
+    /// Attack probability of every row of `x`, bit-identical to
+    /// [`DenseNet::predict_proba`] per row.
+    ///
+    /// The batch runs feature-major: `x` is transposed once, then each
+    /// layer maps its `fan_in × batch` activations to `units × batch`
+    /// through one [`gemm_wxt`] into two ping-pong matrices, and the
+    /// bias and activation apply per unit row. Each element is the same
+    /// full-k dot product the per-row path computes. The last layer's
+    /// single row is the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics before a fit, or when `x`'s width differs from the
+    /// fitted input width.
+    pub fn predict_proba_batch(&self, x: &Mat) -> Vec<f64> {
+        assert!(!self.weights.is_empty(), "net must be fitted before predict");
+        let layers = self.weights.len();
+        let mut cur = x.transpose();
+        let mut next = Mat::zeros(0, 0);
+        for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
+            next.reset(w.rows(), x.rows());
+            gemm_wxt(w, &cur, &mut next);
+            let last = l == layers - 1;
+            for (j, &bj) in b.iter().enumerate() {
+                for v in next.row_mut(j) {
+                    let z = *v + bj;
+                    *v = if last { sigmoid(z) } else { relu(z) };
+                }
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        cur.row(0).to_vec()
+    }
 }
 
 impl Detector for DenseNet {
@@ -263,31 +299,11 @@ impl Detector for DenseNet {
         u8::from(self.predict_proba(row) >= 0.5)
     }
 
-    /// Whole-batch forward pass: one [`gemm_nt`] per layer over two
-    /// ping-pong activation matrices. Each output element is the same
-    /// full-k dot product the per-row path computes, so the batch is
-    /// bit-identical to mapping [`DenseNet::predict`] over the rows.
+    /// [`DenseNet::predict_proba_batch`] thresholded at 0.5, so the
+    /// batch is bit-identical to mapping [`DenseNet::predict`] over the
+    /// rows.
     fn predict_batch(&self, x: &Mat) -> Vec<u8> {
-        assert!(!self.weights.is_empty(), "net must be fitted before predict");
-        let layers = self.weights.len();
-        let n = x.rows();
-        let mut cur = Mat::zeros(0, 0);
-        let mut next = Mat::zeros(0, 0);
-        for l in 0..layers {
-            let (w, b) = (&self.weights[l], &self.biases[l]);
-            let input = if l == 0 { x } else { &cur };
-            next.reset(n, w.rows());
-            gemm_nt(input, w, &mut next);
-            let last = l == layers - 1;
-            for i in 0..n {
-                for (v, bj) in next.row_mut(i).iter_mut().zip(b) {
-                    let z = *v + bj;
-                    *v = if last { sigmoid(z) } else { relu(z) };
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        (0..n).map(|i| u8::from(cur.row(i)[0] >= 0.5)).collect()
+        self.predict_proba_batch(x).into_iter().map(|p| u8::from(p >= 0.5)).collect()
     }
 }
 
@@ -365,5 +381,15 @@ mod tests {
     #[should_panic(expected = "fitted before predict")]
     fn batch_predict_before_fit_panics() {
         let _ = DenseNet::mlp().predict_batch(&Mat::zeros(1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "inner dimensions differ")]
+    fn batch_predict_rejects_a_wider_input() {
+        let (x, y) = blobs(40, 3, 2.0, 9);
+        let mut net = DenseNet::mlp();
+        net.epochs = 1;
+        net.fit(&x, &y);
+        let _ = net.predict_batch(&Mat::zeros(8, 4));
     }
 }

@@ -109,14 +109,30 @@ fn check_net(
     for (l, (fb, sb)) in fast.layer_biases().iter().zip(seed.biases()).enumerate() {
         assert_bits_eq(fb, sb, &format!("{what}: layer {l} biases"));
     }
+    let proba = fast.predict_proba_batch(x);
     let batch = fast.predict_batch(x);
     for (i, row) in x.iter_rows().enumerate() {
-        assert_eq!(
-            fast.predict_proba(row).to_bits(),
-            seed.predict_proba(row).to_bits(),
-            "{what}: proba row {i}"
-        );
+        let expect = seed.predict_proba(row).to_bits();
+        assert_eq!(fast.predict_proba(row).to_bits(), expect, "{what}: proba row {i}");
+        assert_eq!(proba[i].to_bits(), expect, "{what}: batch proba row {i}");
         assert_eq!(batch[i], seed.predict(row), "{what}: batch row {i}");
+    }
+    // Both datasets' row counts are multiples of the batch kernel's
+    // 8-wide lane tile; these cuts run its per-sample tail too.
+    for (first, len) in [(0, 1), (3, 7), (100, 61)] {
+        let cut = Mat::from_vec(
+            x.as_slice()[first * x.cols()..(first + len) * x.cols()].to_vec(),
+            len,
+            x.cols(),
+        );
+        let proba = fast.predict_proba_batch(&cut);
+        for (i, row) in cut.iter_rows().enumerate() {
+            assert_eq!(
+                proba[i].to_bits(),
+                seed.predict_proba(row).to_bits(),
+                "{what}: {len}-row batch proba row {i}"
+            );
+        }
     }
     assert!(fast.accuracy(x, y) == seed.accuracy(x, y), "{what}: accuracy");
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use cr_spectre_hid::detector::{Detector, Hid, HidKind, HidMode};
-use cr_spectre_hid::linalg::{dot, dot4, gemm_nt, matvec_into, sigmoid, Mat};
+use cr_spectre_hid::linalg::{dot, dot4, gemm_wxt, matvec_into, sigmoid, Mat};
 use cr_spectre_hid::{DenseNet, LinearSvm, LogisticRegression};
 use cr_spectre_hpc::dataset::{Dataset, Label};
 
@@ -123,34 +123,36 @@ proptest! {
         }
     }
 
-    /// Blocked GEMM equals the naive per-element `dot` **bit for bit**
-    /// across random shapes, including degenerate ones (empty matrices,
-    /// single rows, widths straddling the block size). This is the
-    /// contract every fast prediction path rests on.
+    /// The batch kernel equals the naive per-element `dot` **bit for
+    /// bit** across random shapes, including degenerate ones (no units,
+    /// an empty batch, k = 0, single rows and columns). This is the
+    /// contract the network's batch prediction rests on.
     #[test]
-    fn gemm_nt_is_bitwise_naive_dot(
-        m in 0usize..70,
+    fn gemm_wxt_is_bitwise_naive_dot(
+        units in 0usize..70,
         n in 0usize..70,
         k in 0usize..40,
         seed in any::<u64>(),
     ) {
-        let (a, b) = random_pair(m, n, k, seed);
-        let mut out = Mat::zeros(m, n);
-        gemm_nt(&a, &b, &mut out);
-        for i in 0..m {
-            for j in 0..n {
-                let expect = dot(a.row(i), b.row(j));
-                prop_assert_eq!(
-                    out.row(i)[j].to_bits(),
-                    expect.to_bits(),
-                    "element ({}, {})", i, j
-                );
+        let (w, x) = random_pair(units, n, k, seed);
+        assert_wxt_is_naive_dot(&w, &x)?;
+    }
+
+    /// Every unit count and batch width ≡ 1…7 (mod 8), below and past
+    /// one lane tile, so the one-unit tail and the per-sample batch
+    /// tail both run beside full tiles.
+    #[test]
+    fn gemm_wxt_tails_are_bitwise_naive_dot(k in 0usize..12, seed in any::<u64>()) {
+        for units in 1..=9 {
+            for n in (1..24).filter(|n| n % 8 != 0) {
+                let (w, x) = random_pair(units, n, k, seed);
+                assert_wxt_is_naive_dot(&w, &x)?;
             }
         }
     }
 
-    /// 1×N edge case: a single-row GEMM is exactly a matvec, and
-    /// `matvec_into` is exactly a stack of naive dots.
+    /// `matvec_into` is exactly a stack of naive dots, single rows and
+    /// row counts off the 4-wide lanes included.
     #[test]
     fn matvec_is_bitwise_naive_dot(
         rows in 0usize..70,
@@ -161,12 +163,43 @@ proptest! {
         let x = xmat.row(0);
         let mut out = vec![0.0; rows];
         matvec_into(&m, x, &mut out);
-        let mut gemm_out = Mat::zeros(rows, 1);
-        gemm_nt(&m, &xmat, &mut gemm_out);
         for (i, v) in out.iter().enumerate() {
-            let expect = dot(m.row(i), x);
-            prop_assert_eq!(v.to_bits(), expect.to_bits(), "row {}", i);
-            prop_assert_eq!(gemm_out.row(i)[0].to_bits(), expect.to_bits(), "row {}", i);
+            prop_assert_eq!(v.to_bits(), dot(m.row(i), x).to_bits(), "row {}", i);
+        }
+    }
+}
+
+/// `gemm_wxt(w, xᵀ)` element (j, i) is `dot(w.row(j), x.row(i))`, bit
+/// for bit.
+fn assert_wxt_is_naive_dot(w: &Mat, x: &Mat) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut out = Mat::zeros(w.rows(), x.rows());
+    gemm_wxt(w, &x.transpose(), &mut out);
+    for j in 0..w.rows() {
+        for i in 0..x.rows() {
+            prop_assert_eq!(
+                out.row(j)[i].to_bits(),
+                dot(w.row(j), x.row(i)).to_bits(),
+                "{}x{} by {}x{}: element ({}, {})",
+                w.rows(), w.cols(), x.rows(), x.cols(), j, i
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Each batch-kernel fold seeds at −0.0, as `dot` does: with k = 0
+/// every element is −0.0, and −0.0 activations times positive weights
+/// sum to −0.0, which a +0.0 seed would turn into +0.0. Tile and tail
+/// columns alike.
+#[test]
+fn gemm_wxt_keeps_negative_zero() {
+    for (units, n, k) in [(3, 11, 0), (3, 11, 5), (2, 8, 1), (1, 1, 0)] {
+        let w = Mat::from_vec(vec![0.5; units * k], units, k);
+        let xt = Mat::from_vec(vec![-0.0; k * n], k, n);
+        let mut out = Mat::from_vec(vec![1.0; units * n], units, n);
+        gemm_wxt(&w, &xt, &mut out);
+        for (e, v) in out.as_slice().iter().enumerate() {
+            assert!(*v == 0.0 && v.is_sign_negative(), "({units},{n},{k}) element {e}: {v}");
         }
     }
 }

@@ -280,11 +280,28 @@ fn table1_on_the_reference_path_matches_the_golden() {
     assert_golden("table1 (reference path)", &table1(&reference_smoke(), 1), TABLE1_GOLDEN);
 }
 
+/// fig5 and fig6 fan their `classify_batch` scoring out through
+/// `par_map`, and their goldens were recorded at the default thread
+/// count, so a serial run must reproduce them exactly.
+fn serial_smoke() -> CampaignConfig {
+    CampaignConfig { threads: 1, ..CampaignConfig::smoke() }
+}
+
+#[test]
+fn fig5_on_one_thread_matches_the_golden() {
+    assert_golden("fig5 (1 thread)", &fig5(&serial_smoke()), FIG5_GOLDEN);
+}
+
+#[test]
+fn fig6_on_one_thread_matches_the_golden() {
+    assert_golden("fig6 (1 thread)", &fig6(&serial_smoke()), FIG6_GOLDEN);
+}
+
 #[test]
 fn campaign_results_do_not_depend_on_thread_count() {
     // The engine's contract, checked here through the public façade (the
     // full per-driver matrix lives in crates/core/tests/).
-    let serial = CampaignConfig { threads: 1, ..CampaignConfig::smoke() };
+    let serial = serial_smoke();
     let parallel = CampaignConfig { threads: 4, ..CampaignConfig::smoke() };
     assert_eq!(
         format!("{:?}", table1(&serial, 1)),
