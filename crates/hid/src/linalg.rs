@@ -7,12 +7,14 @@
 //!   against — kept verbatim, because they define the reference
 //!   floating-point evaluation order;
 //! * the flat math core ([`Mat`], [`dot4`], [`matvec_into`],
-//!   [`gemm_wxt`]) the detectors run on: one contiguous row-major
-//!   allocation per matrix and two lane kernels. [`dot4`] runs four dot
-//!   products side by side across rows (the per-sample forward pass and
-//!   the linear models); [`gemm_wxt`] runs a whole batch through one
-//!   network layer with feature-major activations, its lanes across the
-//!   batch. [`Mat`] is the crate's only matrix type: normalized corpora,
+//!   [`matvec_gather_into`], [`gemm_wxt`]) the detectors run on: one
+//!   contiguous row-major allocation per matrix and lane kernels.
+//!   [`dot4`] runs four dot products side by side across rows (the
+//!   linear models); [`matvec_gather_into`] runs the same four folds
+//!   over a list of nonzero input entries (the network's per-sample
+//!   training step); [`gemm_wxt`] runs a whole batch through one network
+//!   layer with feature-major activations, its lanes across the batch.
+//!   [`Mat`] is the crate's only matrix type: normalized corpora,
 //!   query batches, weight layers and activations, and the argument of
 //!   every [`crate::Detector`] method that takes more than one row.
 //!
@@ -23,6 +25,9 @@
 //! [`gemm_wxt`] only interleave such folds so their add chains overlap
 //! in the pipeline (and, in [`gemm_wxt`], share one vector load per k);
 //! they never split or reorder the additions inside one fold.
+//! [`matvec_gather_into`] leaves out the terms of the entries its list
+//! omits and keeps the order of the rest; when the omitted entries are
+//! signed zeros, that changes at most the sign of a zero result.
 //! `crates/hid/tests/fastmath_equivalence.rs` and the proptests in
 //! `crates/hid/tests/props.rs` lock this in against the seed
 //! implementations.
@@ -307,6 +312,48 @@ pub fn matvec_into(m: &Mat, x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// `out[j]` is the fold of `m[j][idx[n]] * val[n]` over `n` in order,
+/// from −0.0: [`dot`] of row `j` against a vector whose entries at the
+/// positions `idx` are `val`, with the terms of every other position
+/// left out. Four rows run side by side as in [`dot4`], then a scalar
+/// tail. With `idx = 0..m.cols()` and the whole vector as `val` this is
+/// [`matvec_into`] bit for bit; the network's per-sample step passes the
+/// nonzero entries only (see [`crate::net`]).
+///
+/// # Panics
+///
+/// Panics when `idx` and `val` differ in length, when `out` is not
+/// `m.rows()` long, or when an index is not below `m.cols()`.
+pub fn matvec_gather_into(m: &Mat, idx: &[usize], val: &[f64], out: &mut [f64]) {
+    assert_eq!(idx.len(), val.len(), "matvec_gather_into index/value lengths differ");
+    assert_eq!(m.rows(), out.len(), "matvec_gather_into output length mismatch");
+    let k = m.cols();
+    let mut j = 0;
+    let mut quads = out.chunks_exact_mut(4);
+    for q in &mut quads {
+        let (r0, r1, r2, r3) =
+            (&m.row(j)[..k], &m.row(j + 1)[..k], &m.row(j + 2)[..k], &m.row(j + 3)[..k]);
+        let mut acc = [-0.0f64; 4];
+        for (&i, &x) in idx.iter().zip(val) {
+            acc[0] += r0[i] * x;
+            acc[1] += r1[i] * x;
+            acc[2] += r2[i] * x;
+            acc[3] += r3[i] * x;
+        }
+        q.copy_from_slice(&acc);
+        j += 4;
+    }
+    for o in quads.into_remainder() {
+        let r = m.row(j);
+        let mut acc = -0.0f64;
+        for (&i, &x) in idx.iter().zip(val) {
+            acc += r[i] * x;
+        }
+        *o = acc;
+        j += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,5 +512,25 @@ mod tests {
         let mut out = vec![0.0; 3];
         matvec_into(&m, &x, &mut out);
         assert_eq!(out, matvec(&jagged, &x));
+    }
+
+    #[test]
+    fn matvec_gather_into_skips_the_left_out_terms() {
+        // 5 rows: one 4-wide quad and the scalar tail.
+        let m = Mat::from_vec((0..15).map(|v| v as f64 * 0.5 - 3.0).collect(), 5, 3);
+        let x = [2.0, 0.0, -1.5];
+        let mut dense = vec![0.0; 5];
+        matvec_into(&m, &x, &mut dense);
+        let mut full = vec![0.0; 5];
+        matvec_gather_into(&m, &[0, 1, 2], &x, &mut full);
+        let mut sparse = vec![0.0; 5];
+        matvec_gather_into(&m, &[0, 2], &[2.0, -1.5], &mut sparse);
+        for j in 0..5 {
+            assert_eq!(full[j].to_bits(), dense[j].to_bits(), "row {j}: full list");
+            assert_eq!(sparse[j], dense[j], "row {j}: zero input left out");
+        }
+        let mut empty = vec![1.0; 5];
+        matvec_gather_into(&m, &[], &[], &mut empty);
+        assert!(empty.iter().all(|v| *v == 0.0 && v.is_sign_negative()), "{empty:?}");
     }
 }

@@ -96,7 +96,7 @@ fn check_net(
     x: &Mat,
     y: &[u8],
     what: &str,
-) {
+) -> DenseNet {
     fast.fit(x, y);
     seed.fit(x, y);
     assert_eq!(fast.layers().len(), seed.weights().len(), "{what}: layer count");
@@ -135,6 +135,7 @@ fn check_net(
         }
     }
     assert!(fast.accuracy(x, y) == seed.accuracy(x, y), "{what}: accuracy");
+    fast
 }
 
 fn check_knn(x: &Mat, y: &[u8], what: &str) {
@@ -152,19 +153,28 @@ fn check_knn(x: &Mat, y: &[u8], what: &str) {
 fn check_all(x: &Mat, y: &[u8], what: &str) {
     check_logreg(x, y, what);
     check_svm(x, y, what);
-    check_net(DenseNet::mlp(), RefDenseNet::mlp(), x, y, &format!("{what} MLP"));
-    check_net(DenseNet::nn6(), RefDenseNet::nn6(), x, y, &format!("{what} NN"));
-    // Hidden widths that are not multiples of 4, so training and
-    // prediction reach the scalar tail after the 4-wide lanes in every
-    // layer (the MLP and NN widths are all multiples of 4).
-    check_net(
-        DenseNet::new("odd", vec![7, 5, 3]),
-        RefDenseNet::new("odd", vec![7, 5, 3]),
-        x,
-        y,
-        &format!("{what} odd widths"),
-    );
+    check_nets(x, y, what);
     check_knn(x, y, what);
+}
+
+/// Checks the MLP, the NN and a net with hidden widths (7, 5, 3) that
+/// are not multiples of 4, so training and prediction reach the scalar
+/// tail after the 4-wide lanes in every layer (the MLP and NN widths
+/// are all multiples of 4). Returns whether each fit fell back to full
+/// index lists.
+fn check_nets(x: &Mat, y: &[u8], what: &str) -> [bool; 3] {
+    [
+        check_net(DenseNet::mlp(), RefDenseNet::mlp(), x, y, &format!("{what} MLP")),
+        check_net(DenseNet::nn6(), RefDenseNet::nn6(), x, y, &format!("{what} NN")),
+        check_net(
+            DenseNet::new("odd", vec![7, 5, 3]),
+            RefDenseNet::new("odd", vec![7, 5, 3]),
+            x,
+            y,
+            &format!("{what} odd widths"),
+        ),
+    ]
+    .map(|net| net.fell_back_to_full_lists())
 }
 
 #[test]
@@ -177,6 +187,33 @@ fn fig5_scale_bit_identical() {
 fn table1_scale_bit_identical() {
     let (x, y) = table1_shape();
     check_all(&x, &y, "table1 240x16");
+}
+
+/// A feature that is 0 in every row (one column `0.0`, one `−0.0`):
+/// the sparse step never visits those inputs, and the weights still
+/// match the seed's, whose products with them are signed zeros.
+#[test]
+fn all_zero_feature_columns_bit_identical() {
+    let (mut x, y) = table1_shape();
+    for i in 0..x.rows() {
+        let row = x.row_mut(i);
+        row[3] = 0.0;
+        row[11] = -0.0;
+    }
+    assert_eq!(check_nets(&x, &y, "zero columns 240x16"), [false; 3]);
+}
+
+/// A row with an out-of-range feature (1e200, ∞) breaks the sparse
+/// step's magnitude bound: every fit must roll back and finish on full
+/// index lists, and still match the seed bit for bit, NaN weights
+/// included.
+#[test]
+fn out_of_range_feature_takes_the_fallback_bit_identically() {
+    for bad in [1e200, f64::INFINITY] {
+        let (mut x, y) = table1_shape();
+        x.row_mut(97)[5] = bad;
+        assert_eq!(check_nets(&x, &y, &format!("feature {bad} 240x16")), [true; 3], "{bad}");
+    }
 }
 
 /// Telemetry is observation only: with a recorder installed, every
@@ -205,6 +242,14 @@ fn bit_identical_with_telemetry_enabled() {
         .get("hid.train.epoch_us")
         .expect("per-epoch timing histogram recorded");
     assert!(epochs.count > 0, "epoch histogram has samples");
+    // Once per fit: the share of hidden units the sparse step visited,
+    // and whether the fit fell back to full lists.
+    let active = summary
+        .histograms
+        .get("hid.train.active_fraction")
+        .expect("active-fraction histogram recorded");
+    assert!(active.count > 0 && active.min > 0.0 && active.max <= 1.0, "{active:?}");
+    assert!(summary.counters.contains_key("hid.train.dense_fallbacks"), "fallback counter");
 }
 
 /// End-to-end: a trained [`Hid`] (normalizer + fast model) classifies

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use cr_spectre_hid::detector::{Detector, Hid, HidKind, HidMode};
-use cr_spectre_hid::linalg::{dot, dot4, gemm_wxt, matvec_into, sigmoid, Mat};
+use cr_spectre_hid::linalg::{dot, dot4, gemm_wxt, matvec_gather_into, matvec_into, sigmoid, Mat};
+use cr_spectre_hid::reference::RefDenseNet;
 use cr_spectre_hid::{DenseNet, LinearSvm, LogisticRegression};
 use cr_spectre_hpc::dataset::{Dataset, Label};
 
@@ -167,6 +168,111 @@ proptest! {
             prop_assert_eq!(v.to_bits(), dot(m.row(i), x).to_bits(), "row {}", i);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The sparse SGD step is the dense seed step, bit for bit: a few
+    /// epochs of `DenseNet::fit` against `RefDenseNet` on random hidden
+    /// widths (1 and non-multiples of 4 included), with planted `0.0`
+    /// and `−0.0` features. Some nets get shifted inputs or a large
+    /// learning rate, so whole units die for every row or during
+    /// training, and the rows and columns the step skips are many.
+    #[test]
+    fn sparse_sgd_step_is_bitwise_the_dense_step(
+        hidden in proptest::collection::vec(1usize..14, 1..4),
+        dim in 1usize..7,
+        rows in 4usize..40,
+        zero_share in 0u64..3,
+        shift in prop_oneof![Just(0.0), Just(3.0), Just(-3.0)],
+        learning_rate in prop_oneof![Just(0.02), Just(0.4)],
+        seed in any::<u64>(),
+    ) {
+        let (x, y) = planted_rows(rows, dim, zero_share, shift, seed);
+        let mut fast = DenseNet::new("sparse", hidden.clone());
+        let mut dense = RefDenseNet::new("dense", hidden);
+        (fast.epochs, fast.learning_rate, fast.seed) = (3, learning_rate, seed);
+        (dense.epochs, dense.learning_rate, dense.seed) = (3, learning_rate, seed);
+        fast.fit(&x, &y);
+        dense.fit(&x, &y);
+        prop_assert!(!fast.fell_back_to_full_lists());
+        for (l, (flat, jagged)) in fast.layers().iter().zip(dense.weights()).enumerate() {
+            for (j, unit) in jagged.iter().enumerate() {
+                for (i, (a, b)) in flat.row(j).iter().zip(unit).enumerate() {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "layer {} w[{}][{}]", l, j, i);
+                }
+            }
+        }
+        for (l, (fb, db)) in fast.layer_biases().iter().zip(dense.biases()).enumerate() {
+            for (j, (a, b)) in fb.iter().zip(db).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "layer {} b[{}]", l, j);
+            }
+        }
+        for (i, row) in x.iter_rows().enumerate() {
+            let p = dense.predict_proba(row).to_bits();
+            prop_assert_eq!(fast.predict_proba(row).to_bits(), p, "proba row {}", i);
+        }
+    }
+
+    /// The gather fold is `dot` against the vector with the listed
+    /// entries and zeros elsewhere, up to the sign of a zero result;
+    /// over the full list it is `dot` bit for bit.
+    #[test]
+    fn matvec_gather_is_dot_over_the_listed_entries(
+        rows in 0usize..11,
+        k in 0usize..20,
+        keep in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        let (m, xmat) = random_pair(rows, 1, k, seed);
+        let mut x = xmat.row(0).to_vec();
+        let idx: Vec<usize> = (0..k).filter(|i| keep >> (i % 32) & 1 == 1).collect();
+        for (i, v) in x.iter_mut().enumerate() {
+            if !idx.contains(&i) {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let val: Vec<f64> = idx.iter().map(|&i| x[i]).collect();
+        let mut sparse = vec![f64::NAN; rows];
+        matvec_gather_into(&m, &idx, &val, &mut sparse);
+        let all: Vec<usize> = (0..k).collect();
+        let mut full = vec![f64::NAN; rows];
+        matvec_gather_into(&m, &all, &x, &mut full);
+        for j in 0..rows {
+            let want = dot(m.row(j), &x);
+            prop_assert_eq!(full[j].to_bits(), want.to_bits(), "row {} full list", j);
+            prop_assert!(sparse[j] == want, "row {}: {} vs {}", j, sparse[j], want);
+        }
+    }
+}
+
+/// `rows × dim` features around ±1 plus `shift`, with about a third of
+/// the entries per `zero_share` step planted as `0.0` or `−0.0`, and
+/// alternating labels.
+fn planted_rows(rows: usize, dim: usize, zero_share: u64, shift: f64, seed: u64) -> (Mat, Vec<u8>) {
+    let mut state = seed | 1;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut x = Vec::with_capacity(rows * dim);
+    let y: Vec<u8> = (0..rows).map(|i| (i % 2) as u8).collect();
+    for &label in &y {
+        for _ in 0..dim {
+            let r = next();
+            let v = if r % 3 < zero_share {
+                if r & 8 == 0 { 0.0 } else { -0.0 }
+            } else {
+                let center = if label == 1 { 1.0 } else { -1.0 };
+                center + shift + (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            };
+            x.push(v);
+        }
+    }
+    (Mat::from_vec(x, rows, dim), y)
 }
 
 /// `gemm_wxt(w, xᵀ)` element (j, i) is `dot(w.row(j), x.row(i))`, bit

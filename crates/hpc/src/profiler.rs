@@ -107,12 +107,19 @@ pub fn profile(machine: &mut Machine, app: &str, interval: u64) -> Trace {
         }
     };
     if span.is_recording() {
+        // Transient work next to the retired count: instructions run
+        // down mispredicted paths, and the windows squashed.
+        let pmu = machine.pmu();
+        let (spec_instrs, squashes) =
+            (pmu.count(HpcEvent::SpecInstrs), pmu.count(HpcEvent::SpecSquashes));
         span.field("app", app)
             .field("interval", interval)
             .field("windows", samples.len())
             .field("instructions", outcome.instructions)
             .field("cycles", outcome.cycles)
-            .field("ipc", outcome.ipc());
+            .field("ipc", outcome.ipc())
+            .field("spec_instrs", spec_instrs)
+            .field("squashes", squashes);
         if let Some(start) = wall_start {
             let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
             span.field("wall_ms", wall_ms);
@@ -120,10 +127,7 @@ pub fn profile(machine: &mut Machine, app: &str, interval: u64) -> Trace {
         }
         telemetry::counter("hpc.trials", 1);
         telemetry::counter("hpc.windows", samples.len() as u64);
-        telemetry::histogram(
-            "hpc.squashes_per_trial",
-            machine.pmu().count(HpcEvent::SpecSquashes) as f64,
-        );
+        telemetry::histogram("hpc.squashes_per_trial", squashes as f64);
         machine.emit_telemetry();
     }
     Trace { app: app.to_string(), samples, outcome }

@@ -280,11 +280,16 @@ fn table1_on_the_reference_path_matches_the_golden() {
     assert_golden("table1 (reference path)", &table1(&reference_smoke(), 1), TABLE1_GOLDEN);
 }
 
-/// fig5 and fig6 fan their `classify_batch` scoring out through
-/// `par_map`, and their goldens were recorded at the default thread
-/// count, so a serial run must reproduce them exactly.
+/// fig4, fig5 and fig6 fan their work out through `par_map`, and their
+/// goldens were recorded at the default thread count, so a serial run
+/// must reproduce them exactly.
 fn serial_smoke() -> CampaignConfig {
     CampaignConfig { threads: 1, ..CampaignConfig::smoke() }
+}
+
+#[test]
+fn fig4_on_one_thread_matches_the_golden() {
+    assert_golden("fig4 (1 thread)", &fig4(&serial_smoke()), FIG4_GOLDEN);
 }
 
 #[test]

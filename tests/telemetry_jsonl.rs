@@ -3,7 +3,8 @@
 //! checks the emitted JSONL with the telemetry crate's own parser —
 //! every line must parse, carry its required keys, and the trace must
 //! contain at least one span per driver phase plus per-trial timing
-//! records. CI runs this as the telemetry smoke job.
+//! records. The same campaign without `--telemetry` must print the same
+//! results. CI runs this as the telemetry smoke job.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -21,21 +22,14 @@ fn require_keys(line_no: usize, line: &str, value: &Value, keys: &[&str]) {
 
 #[test]
 fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
+    let campaign = ["campaign", "--quick", "--artifact", "fig5", "--threads", "2", "--quiet"];
     let dir = std::env::temp_dir().join(format!("cr-spectre-telemetry-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace_path = dir.join("fig5.jsonl");
 
     let output = Command::new(env!("CARGO_BIN_EXE_cr-spectre"))
-        .args([
-            "campaign",
-            "--quick",
-            "--artifact",
-            "fig5",
-            "--threads",
-            "2",
-            "--quiet",
-            "--telemetry",
-        ])
+        .args(campaign)
+        .arg("--telemetry")
         .arg(&trace_path)
         .output()
         .expect("campaign subcommand runs");
@@ -51,6 +45,13 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
         "final result line survives --quiet: {stdout:?}"
     );
     assert!(!stdout.contains("paper:"), "--quiet suppresses commentary: {stdout:?}");
+    // Telemetry is observation only: the results are the same without it.
+    let plain = Command::new(env!("CARGO_BIN_EXE_cr-spectre"))
+        .args(campaign)
+        .output()
+        .expect("campaign subcommand runs");
+    assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
+    assert_eq!(String::from_utf8_lossy(&plain.stdout), stdout, "results with telemetry on vs off");
 
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
     let _ = std::fs::remove_file(&trace_path);
@@ -60,6 +61,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
 
     let mut span_names = BTreeSet::new();
     let mut counter_names = BTreeSet::new();
+    let mut dense_fallbacks = None;
     let mut histogram_names = BTreeSet::new();
     let mut attempt_spans = 0usize;
     let mut profile_spans = 0usize;
@@ -85,7 +87,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
                 if name == "hpc.profile" {
                     profile_spans += 1;
                     let fields = value.get("fields").expect("hpc.profile has fields");
-                    for key in ["instructions", "cycles", "wall_ms"] {
+                    for key in ["instructions", "cycles", "wall_ms", "spec_instrs", "squashes"] {
                         assert!(fields.get(key).is_some(), "line {i}: no {key} field");
                     }
                 }
@@ -93,8 +95,11 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
             }
             "counter" => {
                 require_keys(i, line, &value, &["name", "value"]);
-                counter_names
-                    .insert(value.get("name").and_then(Value::as_str).expect("name").to_string());
+                let name = value.get("name").and_then(Value::as_str).expect("name");
+                if name == "hid.train.dense_fallbacks" {
+                    dense_fallbacks = value.get("value").and_then(Value::as_f64);
+                }
+                counter_names.insert(name.to_string());
             }
             "histogram" => {
                 require_keys(i, line, &value, &["name", "count", "sum", "min", "max", "mean"]);
@@ -129,6 +134,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
         "par_map.jobs",
         "hid.fits",
         "hid.train.rows_per_sec",
+        "hid.train.dense_fallbacks",
     ] {
         assert!(counter_names.contains(counter), "no {counter:?} counter in {counter_names:?}");
     }
@@ -137,10 +143,14 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
         "hpc.squashes_per_trial",
         "hid.epochs_to_converge",
         "hid.train.epoch_us",
+        "hid.train.active_fraction",
     ] {
         assert!(
             histogram_names.contains(histogram),
             "no {histogram:?} histogram in {histogram_names:?}"
         );
     }
+    // Every fit of the smoke campaign stays within the sparse step's
+    // magnitude bound.
+    assert_eq!(dense_fallbacks, Some(0.0), "hid.train.dense_fallbacks");
 }
