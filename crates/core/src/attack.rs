@@ -16,7 +16,7 @@ use cr_spectre_rop::chain::{Chain, ChainError};
 use cr_spectre_rop::exploit::probe_ret_offset;
 use cr_spectre_rop::payload::PayloadBuilder;
 use cr_spectre_rop::scanner::Scanner;
-use cr_spectre_sim::config::MachineConfig;
+use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig};
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::error::Fault;
 use cr_spectre_workloads::host::{
@@ -31,15 +31,16 @@ use crate::spectre::{build_spectre_image, SpectreConfig, SpectreVariant};
 /// Name under which the attack binary is registered (the `execve` path).
 pub const ATTACK_BINARY: &str = "spectre";
 
-/// Full configuration of one CR-Spectre attack run.
+/// Full configuration of one CR-Spectre attack run, on the execution path
+/// `P` of its machine configuration.
 #[derive(Debug, Clone)]
-pub struct AttackConfig {
+pub struct AttackConfig<P: ExecPath = Fast> {
     /// The MiBench-like host to hijack.
     pub host: Mibench,
     /// Host build options (buffer size, canary).
     pub host_options: HostOptions,
     /// Machine (microarchitecture + protections) configuration.
-    pub machine: MachineConfig,
+    pub machine: MachineConfig<P>,
     /// Speculation variant of the injected binary.
     pub variant: SpectreVariant,
     /// Algorithm-2 perturbation, if any (`Some` = CR-Spectre).
@@ -56,10 +57,17 @@ impl AttackConfig {
     /// A default attack against `host`: Spectre v1, no perturbation,
     /// leaking the whole secret.
     pub fn new(host: Mibench) -> AttackConfig {
+        AttackConfig::on_machine(host, MachineConfig::default())
+    }
+}
+
+impl<P: ExecPath> AttackConfig<P> {
+    /// [`AttackConfig::new`] on the given machine configuration.
+    pub fn on_machine(host: Mibench, machine: MachineConfig<P>) -> AttackConfig<P> {
         AttackConfig {
             host,
             host_options: HostOptions::default(),
-            machine: MachineConfig::default(),
+            machine,
             variant: SpectreVariant::V1,
             perturb: None,
             covert: CovertConfig::default(),
@@ -69,13 +77,13 @@ impl AttackConfig {
     }
 
     /// Attaches a perturbation (turning the run into CR-Spectre proper).
-    pub fn with_perturb(mut self, params: PerturbParams) -> AttackConfig {
+    pub fn with_perturb(mut self, params: PerturbParams) -> AttackConfig<P> {
         self.perturb = Some(params);
         self
     }
 
     /// Switches the speculation variant.
-    pub fn with_variant(mut self, variant: SpectreVariant) -> AttackConfig {
+    pub fn with_variant(mut self, variant: SpectreVariant) -> AttackConfig<P> {
         self.variant = variant;
         self
     }
@@ -178,7 +186,9 @@ impl AttackOutcome {
 /// whose *attack* fails (e.g. a canary the adversary has not leaked)
 /// still returns `Ok` — the outcome's trace shows the crash, exactly what
 /// a defender would observe.
-pub fn run_cr_spectre(config: &AttackConfig) -> Result<AttackOutcome, AttackError> {
+pub fn run_cr_spectre<P: ExecPath>(
+    config: &AttackConfig<P>,
+) -> Result<AttackOutcome, AttackError> {
     let host = vulnerable_host(config.host, config.host_options);
     let mut machine = Machine::new(config.machine.clone());
     let loaded = machine.load(&host.image).map_err(AttackError::Load)?;
@@ -244,7 +254,7 @@ pub fn run_cr_spectre(config: &AttackConfig) -> Result<AttackOutcome, AttackErro
 /// Runs the attack binary **standalone** (the traditional Spectre launch
 /// of Figure 2(b)): the secret-bearing victim image is merely loaded, and
 /// the attack binary itself is the profiled application.
-pub fn run_standalone_spectre(config: &AttackConfig) -> AttackOutcome {
+pub fn run_standalone_spectre<P: ExecPath>(config: &AttackConfig<P>) -> AttackOutcome {
     let victim = cr_spectre_workloads::host::standalone_image(config.host);
     let mut machine = Machine::new(config.machine.clone());
     let loaded = machine.load(&victim).expect("victim loads");

@@ -19,7 +19,7 @@ use cr_spectre_hid::detector::{Hid, HidKind, HidMode};
 use cr_spectre_hpc::dataset::{Dataset, Label};
 use cr_spectre_hpc::features::FeatureSet;
 use cr_spectre_hpc::profiler::{profile, Trace};
-use cr_spectre_sim::config::MachineConfig;
+use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig};
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::pmu::HpcEvent;
 use cr_spectre_telemetry as telemetry;
@@ -32,11 +32,12 @@ use crate::parallel::{default_threads, derive_seed, par_map, par_map_indices};
 use crate::perturb::{PerturbParams, VariantGenerator};
 use crate::spectre::SpectreVariant;
 
-/// Shared experiment configuration.
+/// Shared experiment configuration, on the execution path `P` of its
+/// machine configuration.
 #[derive(Debug, Clone)]
-pub struct CampaignConfig {
+pub struct CampaignConfig<P: ExecPath = Fast> {
     /// Machine (microarchitecture) configuration.
-    pub machine: MachineConfig,
+    pub machine: MachineConfig<P>,
     /// PMU sampling interval in cycles.
     pub sample_interval: u64,
     /// Target samples per class in training corpora (paper: 2000;
@@ -178,8 +179,8 @@ impl CampaignConfig {
 
 /// Profiles one standalone application (host or benign app) start to
 /// finish.
-pub fn profile_standalone(
-    machine_cfg: &MachineConfig,
+pub fn profile_standalone<P: ExecPath>(
+    machine_cfg: &MachineConfig<P>,
     image: &cr_spectre_sim::Image,
     interval: u64,
 ) -> Trace {
@@ -194,7 +195,7 @@ pub fn profile_standalone(
 /// applications profiled". Each application simulates on its own worker
 /// (`cfg.threads`); the returned order is always hosts-then-apps,
 /// independent of scheduling.
-pub fn benign_traces(cfg: &CampaignConfig, hosts: &[Mibench]) -> Vec<Trace> {
+pub fn benign_traces<P: ExecPath>(cfg: &CampaignConfig<P>, hosts: &[Mibench]) -> Vec<Trace> {
     let mut images: Vec<cr_spectre_sim::Image> =
         hosts.iter().map(|&host| standalone_image(host)).collect();
     images.extend(BenignApp::ALL.into_iter().map(|app| app.image()));
@@ -206,9 +207,13 @@ pub fn benign_traces(cfg: &CampaignConfig, hosts: &[Mibench]) -> Vec<Trace> {
 /// Runs a standalone Spectre of the given variant and returns its
 /// outcome. `attempt` introduces the run-to-run measurement variation a
 /// real profiler sees (sampling phase).
-pub fn spectre_trace(cfg: &CampaignConfig, variant: SpectreVariant, attempt: usize) -> AttackOutcome {
-    let mut attack = AttackConfig::new(Mibench::Bitcount50M).with_variant(variant);
-    attack.machine = cfg.machine.clone();
+pub fn spectre_trace<P: ExecPath>(
+    cfg: &CampaignConfig<P>,
+    variant: SpectreVariant,
+    attempt: usize,
+) -> AttackOutcome {
+    let mut attack =
+        AttackConfig::on_machine(Mibench::Bitcount50M, cfg.machine.clone()).with_variant(variant);
     attack.sample_interval = jittered_interval(cfg.sample_interval, attempt);
     run_standalone_spectre(&attack)
 }
@@ -222,8 +227,8 @@ fn jittered_interval(base: u64, attempt: usize) -> u64 {
 /// Assembles the labelled training corpus: benign traces vs standalone
 /// Spectre traces (both variants), truncated/balanced to
 /// `samples_per_class`.
-pub fn build_training_data(
-    cfg: &CampaignConfig,
+pub fn build_training_data<P: ExecPath>(
+    cfg: &CampaignConfig<P>,
     hosts: &[Mibench],
     features: &FeatureSet,
 ) -> Dataset {
@@ -240,7 +245,7 @@ pub fn build_training_data(
 
 /// The four standalone-Spectre training runs (both variants, alternating)
 /// every training corpus uses, fanned out over `cfg.threads` workers.
-fn attack_training_traces(cfg: &CampaignConfig) -> Vec<AttackOutcome> {
+fn attack_training_traces<P: ExecPath>(cfg: &CampaignConfig<P>) -> Vec<AttackOutcome> {
     par_map_indices(4, cfg.threads, |i| {
         spectre_trace(cfg, SpectreVariant::ALL[i % SpectreVariant::ALL.len()], i)
     })
@@ -280,7 +285,7 @@ pub struct Fig4Row {
 /// Spectre traces do not depend on the series' host, so they are
 /// simulated exactly once and shared by every row (the serial engine
 /// recomputed identical traces per host).
-pub fn fig4(cfg: &CampaignConfig) -> Vec<Fig4Row> {
+pub fn fig4<P: ExecPath>(cfg: &CampaignConfig<P>) -> Vec<Fig4Row> {
     let mut driver_span = telemetry::span("campaign.fig4");
     driver_span.field("threads", cfg.threads).field("samples_per_class", cfg.samples_per_class);
     let sizes = [16usize, 8, 4, 2, 1];
@@ -383,7 +388,7 @@ pub struct EvasionResult {
 /// a single static perturbation (no dynamic adaptation — the offline HID
 /// never learns, so none is needed, saving attack overhead as the paper
 /// notes).
-pub fn fig5(cfg: &CampaignConfig) -> EvasionResult {
+pub fn fig5<P: ExecPath>(cfg: &CampaignConfig<P>) -> EvasionResult {
     let mut driver_span = telemetry::span("campaign.fig5");
     driver_span.field("threads", cfg.threads).field("attempts", cfg.attempts);
     let features = FeatureSet::paper_default();
@@ -411,9 +416,9 @@ pub fn fig5(cfg: &CampaignConfig) -> EvasionResult {
         let mut spectre_rows = outcome.attack_rows(&features);
         noise.apply(&mut spectre_rows, cfg.seed, streams::FIG5_SPECTRE + attempt as u64);
         // (b) CR-Spectre, one static perturbation.
-        let mut attack = AttackConfig::new(Mibench::FIG4_HOSTS[attempt % 4])
+        let host = Mibench::FIG4_HOSTS[attempt % 4];
+        let mut attack = AttackConfig::on_machine(host, cfg.machine.clone())
             .with_perturb(PerturbParams::evasive_default());
-        attack.machine = cfg.machine.clone();
         attack.sample_interval = jittered_interval(cfg.sample_interval, attempt);
         let outcome = run_cr_spectre(&attack).expect("attack launches");
         let mut cr_rows = outcome.attack_rows(&features);
@@ -447,7 +452,7 @@ pub fn fig5(cfg: &CampaignConfig) -> EvasionResult {
 /// Panel (b) is the full defense-aware loop of Figure 3: when any HID
 /// detects the current variant (>80 %), the attacker mutates the
 /// perturbation parameters before the next attempt.
-pub fn fig6(cfg: &CampaignConfig) -> EvasionResult {
+pub fn fig6<P: ExecPath>(cfg: &CampaignConfig<P>) -> EvasionResult {
     let mut driver_span = telemetry::span("campaign.fig6");
     driver_span.field("threads", cfg.threads).field("attempts", cfg.attempts);
     let features = FeatureSet::paper_default();
@@ -503,9 +508,8 @@ pub fn fig6(cfg: &CampaignConfig) -> EvasionResult {
     for attempt in 0..cfg.attempts {
         let mut trial_span = telemetry::span("fig6.attempt");
         trial_span.field("attempt", attempt);
-        let mut attack =
-            AttackConfig::new(Mibench::FIG4_HOSTS[attempt % 4]).with_perturb(variant);
-        attack.machine = cfg.machine.clone();
+        let host = Mibench::FIG4_HOSTS[attempt % 4];
+        let mut attack = AttackConfig::on_machine(host, cfg.machine.clone()).with_perturb(variant);
         attack.sample_interval = jittered_interval(cfg.sample_interval, attempt);
         let outcome = run_cr_spectre(&attack).expect("attack launches");
         let mut rows = outcome.attack_rows(&features);
@@ -615,7 +619,7 @@ impl Table1Row {
 /// spans — the application's own work, which is what the paper's
 /// "negligible overhead on the host" claim is about. `iterations` runs
 /// are averaged (paper: 100).
-pub fn table1(cfg: &CampaignConfig, iterations: usize) -> Vec<Table1Row> {
+pub fn table1<P: ExecPath>(cfg: &CampaignConfig<P>, iterations: usize) -> Vec<Table1Row> {
     let mut driver_span = telemetry::span("campaign.table1");
     driver_span.field("threads", cfg.threads).field("iterations", iterations);
     // Variant generation is a cheap serial RNG walk; do it up front so
@@ -642,14 +646,14 @@ pub fn table1(cfg: &CampaignConfig, iterations: usize) -> Vec<Table1Row> {
         let trace = profile_standalone(&cfg.machine, &standalone_image(host), interval);
         let original = trace.outcome.ipc();
         // CR-Spectre, offline-type HID: static perturbation.
-        let mut attack = AttackConfig::new(host).with_perturb(PerturbParams::evasive_default());
-        attack.machine = cfg.machine.clone();
+        let mut attack = AttackConfig::on_machine(host, cfg.machine.clone())
+            .with_perturb(PerturbParams::evasive_default());
         attack.sample_interval = interval;
         let outcome = run_cr_spectre(&attack).expect("attack launches");
         let offline = host_ipc(&outcome);
         // CR-Spectre, online-type HID: dynamic variant per run.
-        let mut attack = AttackConfig::new(host).with_perturb(online_variant);
-        attack.machine = cfg.machine.clone();
+        let mut attack =
+            AttackConfig::on_machine(host, cfg.machine.clone()).with_perturb(online_variant);
         attack.sample_interval = interval;
         let outcome = run_cr_spectre(&attack).expect("attack launches");
         let online = host_ipc(&outcome);

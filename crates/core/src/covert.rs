@@ -11,7 +11,6 @@ use cr_spectre_asm::builder::Asm;
 use cr_spectre_sim::config::MachineConfig;
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::isa::{AluOp, BranchCond, Reg, Width};
-use cr_spectre_sim::mem::Perms;
 
 /// How the receiver resets probe lines between transmissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,22 +226,23 @@ pub fn calibrate_threshold(config: &MachineConfig) -> i32 {
     ((hit + miss) / 2) as i32
 }
 
-/// Cache-state oracle: which probe slot is resident (test utility —
-/// inspects the simulator's cache tags directly instead of timing).
-pub fn resident_slot(machine: &Machine, probe_addr: u64, cfg: &CovertConfig) -> Option<u8> {
-    (0..cfg.entries as u64)
-        .find(|&k| machine.caches().data_resident(probe_addr + k * cfg.stride as u64))
-        .map(|k| k as u8)
-}
-
-/// Allocates a probe array on the machine heap (test utility).
-pub fn alloc_probe(machine: &mut Machine, cfg: &CovertConfig) -> u64 {
-    machine.alloc(cfg.probe_bytes(), Perms::RW)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cr_spectre_sim::mem::Perms;
+
+    /// Cache-state oracle: which probe slot is resident (inspects the
+    /// simulator's cache tags directly instead of timing).
+    fn resident_slot(machine: &Machine, probe_addr: u64, cfg: &CovertConfig) -> Option<u8> {
+        (0..cfg.entries as u64)
+            .find(|&k| machine.caches().data_resident(probe_addr + k * cfg.stride as u64))
+            .map(|k| k as u8)
+    }
+
+    /// Allocates a probe array on the machine heap.
+    fn alloc_probe(machine: &mut Machine, cfg: &CovertConfig) -> u64 {
+        machine.alloc(cfg.probe_bytes(), Perms::RW)
+    }
 
     #[test]
     fn latency_gap_supports_default_threshold() {

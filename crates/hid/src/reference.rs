@@ -4,8 +4,8 @@
 //! These are the **equivalence oracles**: the fast flat-matrix paths in
 //! [`crate::net`], [`crate::logreg`], [`crate::svm`] and [`crate::knn`]
 //! must produce bit-identical trained weights and predictions, locked by
-//! `tests/fastmath_equivalence.rs` — the same role the
-//! `fast_path = false` interpreter plays for the simulator.
+//! `tests/fastmath_equivalence.rs` — the same role the simulator's
+//! `Machine<Reference>` interpreter plays for its fast path.
 //!
 //! They implement the one [`Detector`] API like every other family, but
 //! each `fit` first unboxes the [`Mat`] into jagged `Vec<Vec<f64>>` rows

@@ -14,6 +14,7 @@
 //! latency; the next boundary is the first multiple of `interval` (from
 //! the start cycle) past it.
 
+use cr_spectre_sim::config::ExecPath;
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::error::RunOutcome;
 use cr_spectre_sim::pmu::{HpcEvent, PmuSnapshot};
@@ -72,7 +73,7 @@ impl Trace {
 /// least one retired instruction.
 ///
 /// The machine must already be started (`start`/`start_with_arg`).
-pub fn profile(machine: &mut Machine, app: &str, interval: u64) -> Trace {
+pub fn profile<P: ExecPath>(machine: &mut Machine<P>, app: &str, interval: u64) -> Trace {
     assert!(interval > 0, "sampling interval must be nonzero");
     // Per-trial telemetry: one span per profiled run with wall time and
     // speculation activity. The window loop itself stays uninstrumented —
@@ -112,6 +113,7 @@ pub fn profile(machine: &mut Machine, app: &str, interval: u64) -> Trace {
         let pmu = machine.pmu();
         let (spec_instrs, squashes) =
             (pmu.count(HpcEvent::SpecInstrs), pmu.count(HpcEvent::SpecSquashes));
+        let (decode_fills, decode_flushes) = machine.decode_cache_stats();
         span.field("app", app)
             .field("interval", interval)
             .field("windows", samples.len())
@@ -119,7 +121,9 @@ pub fn profile(machine: &mut Machine, app: &str, interval: u64) -> Trace {
             .field("cycles", outcome.cycles)
             .field("ipc", outcome.ipc())
             .field("spec_instrs", spec_instrs)
-            .field("squashes", squashes);
+            .field("squashes", squashes)
+            .field("decode_fills", decode_fills)
+            .field("decode_flushes", decode_flushes);
         if let Some(start) = wall_start {
             let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
             span.field("wall_ms", wall_ms);

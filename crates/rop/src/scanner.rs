@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use cr_spectre_sim::config::ExecPath;
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::image::LoadedImage;
 use cr_spectre_sim::isa::{Instr, Reg, INSTR_BYTES};
@@ -79,7 +80,7 @@ impl Scanner {
     }
 
     /// Scans every executable range of a loaded image inside `machine`.
-    pub fn scan_image(&self, machine: &Machine, image: &LoadedImage) -> GadgetSet {
+    pub fn scan_image<P: ExecPath>(&self, machine: &Machine<P>, image: &LoadedImage) -> GadgetSet {
         let mut gadgets = Vec::new();
         for &(start, end) in &image.exec_ranges {
             let bytes = machine.mem().peek(start, (end - start) as usize);

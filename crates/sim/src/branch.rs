@@ -23,11 +23,13 @@ pub enum Counter {
 
 impl Counter {
     /// The predicted direction.
+    #[inline]
     pub fn taken(self) -> bool {
         matches!(self, Counter::WeakTaken | Counter::StrongTaken)
     }
 
     /// Updates the counter with the resolved direction.
+    #[inline]
     pub fn update(self, taken: bool) -> Counter {
         match (self, taken) {
             (Counter::StrongNot, true) => Counter::WeakNot,
@@ -64,17 +66,20 @@ impl PatternHistoryTable {
         }
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         // Instructions are 8 bytes; drop the alignment bits before hashing.
         (((pc >> 3) ^ (pc >> 13)) & self.mask) as usize
     }
 
     /// Predicts the direction of the branch at `pc`.
+    #[inline]
     pub fn predict(&self, pc: u64) -> bool {
         self.counters[self.index(pc)].taken()
     }
 
     /// Trains the entry for `pc` with the resolved direction.
+    #[inline]
     pub fn update(&mut self, pc: u64, taken: bool) {
         let i = self.index(pc);
         self.counters[i] = self.counters[i].update(taken);
@@ -99,12 +104,14 @@ impl BranchTargetBuffer {
         BranchTargetBuffer { entries: vec![None; entries], mask: entries as u64 - 1 }
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         (((pc >> 3) ^ (pc >> 11)) & self.mask) as usize
     }
 
     /// Predicted target of the indirect branch at `pc`, if a prior
     /// resolution was recorded for this (possibly aliased) slot.
+    #[inline]
     pub fn predict(&self, pc: u64) -> Option<u64> {
         match self.entries[self.index(pc)] {
             Some((tag, target)) if tag == pc => Some(target),
@@ -116,6 +123,7 @@ impl BranchTargetBuffer {
     }
 
     /// Records the resolved target of the indirect branch at `pc`.
+    #[inline]
     pub fn update(&mut self, pc: u64, target: u64) {
         let i = self.index(pc);
         self.entries[i] = Some((pc, target));
@@ -148,6 +156,7 @@ impl ReturnStackBuffer {
     }
 
     /// Pushes a return address (on `CALL`).
+    #[inline]
     pub fn push(&mut self, addr: u64) {
         self.ring[self.top] = addr;
         // Compare-and-wrap instead of `%`: a ring step is the hottest
@@ -161,6 +170,7 @@ impl ReturnStackBuffer {
     }
 
     /// Pops the predicted return address (on `RET`); `None` when empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<u64> {
         if self.depth == 0 {
             return None;

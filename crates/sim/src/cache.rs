@@ -8,6 +8,10 @@
 //! probe line. Squashed speculative loads still call [`CacheHierarchy::access_data`],
 //! which is the microarchitectural state leak the attack exploits.
 
+use std::marker::PhantomData;
+
+use crate::config::{ExecPath, Fast};
+
 /// Geometry and latency parameters for one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -54,9 +58,12 @@ pub enum Lookup {
 
 /// One set-associative cache level with true-LRU replacement.
 ///
-/// Stores tags only; see the module docs for why no data is kept.
+/// Stores tags only; see the module docs for why no data is kept. On the
+/// fast path ([`ExecPath::FAST`]) lookups use precomputed shift/mask
+/// indexing and the MRU hint; the reference path runs divide/modulo
+/// index math and a full set scan. Results are identical either way.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct Cache<P: ExecPath = Fast> {
     config: CacheConfig,
     /// `!(line_size - 1)`: masks an address down to its line address.
     line_mask: u64,
@@ -71,24 +78,21 @@ pub struct Cache {
     /// MRU hint: slot of the most recent hit or fill. Validated against
     /// `tags` before use, so flushes need not reset it.
     last_slot: usize,
-    /// Fast lookup path (precomputed shift/mask indexing + MRU hint).
-    /// When off, every access runs the reference implementation:
-    /// divide/modulo index math and a full set scan. Results are
-    /// identical either way; see `MachineConfig::fast_path`.
-    fast: bool,
     tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
+    path: PhantomData<P>,
 }
 
-impl Cache {
-    /// Creates an empty cache with the given geometry.
+impl<P: ExecPath> Cache<P> {
+    /// Creates an empty cache with the given geometry, on the path its
+    /// type names.
     ///
     /// # Panics
     ///
     /// Panics if `sets` or `line_size` is not a power of two, or `ways == 0`.
-    pub fn new(config: CacheConfig) -> Cache {
+    pub fn new(config: CacheConfig) -> Cache<P> {
         assert!(config.sets.is_power_of_two(), "sets must be a power of two");
         assert!(config.line_size.is_power_of_two(), "line size must be a power of two");
         assert!(config.ways > 0, "ways must be nonzero");
@@ -100,11 +104,11 @@ impl Cache {
             tags: vec![None; config.sets * config.ways],
             stamps: vec![0; config.sets * config.ways],
             last_slot: 0,
-            fast: true,
             tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
+            path: PhantomData,
         }
     }
 
@@ -113,16 +117,9 @@ impl Cache {
         &self.config
     }
 
-    /// Selects the fast lookup path (default) or the reference
-    /// implementation. Placement, LRU, and every counter are identical;
-    /// only the wall-clock cost of a lookup changes.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast = enabled;
-    }
-
     #[inline]
     fn line_addr(&self, addr: u64) -> u64 {
-        if self.fast {
+        if P::FAST {
             addr & self.line_mask
         } else {
             // Reference formula: runtime divide (not a const the compiler
@@ -133,7 +130,7 @@ impl Cache {
 
     #[inline]
     fn set_index(&self, line: u64) -> usize {
-        if self.fast {
+        if P::FAST {
             ((line >> self.line_shift) as usize) & self.set_mask
         } else {
             ((line / self.config.line_size) as usize) % self.config.sets
@@ -153,7 +150,7 @@ impl Cache {
         // MRU hint: straight-line code and tight probe loops hit the same
         // line back to back. Tags are unique per line and only ever written
         // in a line's home set, so a tag match proves the hint is valid.
-        if self.fast {
+        if P::FAST {
             let slot = self.last_slot;
             if self.tags[slot] == Some(line) {
                 self.stamps[slot] = self.tick;
@@ -298,16 +295,18 @@ impl AccessResult {
 /// ```
 /// use cr_spectre_sim::cache::{CacheHierarchy, HierarchyConfig};
 ///
-/// let mut caches = CacheHierarchy::new(HierarchyConfig::default());
+/// let mut caches: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
 /// let cold = caches.access_data(0x1000);
 /// let warm = caches.access_data(0x1000);
 /// assert!(cold.latency > warm.latency, "the covert-channel gap");
 /// ```
 #[derive(Debug, Clone)]
-pub struct CacheHierarchy {
-    l1d: Cache,
-    l1i: Cache,
-    l2: Cache,
+pub struct CacheHierarchy<P: ExecPath = Fast> {
+    /// The machine's hit coalescers apply their batches to the L1s
+    /// directly ([`Cache::bulk_batch`]).
+    pub(crate) l1d: Cache<P>,
+    pub(crate) l1i: Cache<P>,
+    l2: Cache<P>,
     mem_latency: u64,
     next_line_prefetch: bool,
     prefetch_fills: u64,
@@ -343,9 +342,9 @@ impl Default for HierarchyConfig {
     }
 }
 
-impl CacheHierarchy {
-    /// Creates an empty hierarchy.
-    pub fn new(config: HierarchyConfig) -> CacheHierarchy {
+impl<P: ExecPath> CacheHierarchy<P> {
+    /// Creates an empty hierarchy, on the path its type names.
+    pub fn new(config: HierarchyConfig) -> CacheHierarchy<P> {
         CacheHierarchy {
             l1d: Cache::new(config.l1d),
             l1i: Cache::new(config.l1i),
@@ -354,37 +353,6 @@ impl CacheHierarchy {
             next_line_prefetch: config.next_line_prefetch,
             prefetch_fills: 0,
         }
-    }
-
-    /// Applies a batch of coalesced instruction-fetch hits to the L1i
-    /// (see [`Cache::bulk_batch`] for the contract and exactness proof).
-    pub(crate) fn l1i_bulk_batch(&mut self, entries: &[(u64, u64)], total: u64) {
-        self.l1i.bulk_batch(entries, total);
-    }
-
-    /// Applies a batch of coalesced data hits to the L1d model (the
-    /// data-side counterpart of [`CacheHierarchy::l1i_bulk_batch`]).
-    pub(crate) fn l1d_bulk_batch(&mut self, entries: &[(u64, u64)], total: u64) {
-        self.l1d.bulk_batch(entries, total);
-    }
-
-    /// Whether the line containing `addr` is resident in the L1i
-    /// (read-only — no LRU update; the coalescer's residency oracle).
-    pub(crate) fn l1i_probe(&self, addr: u64) -> bool {
-        self.l1i.probe(addr)
-    }
-
-    /// Whether the line containing `addr` is resident in the L1d
-    /// (read-only — no LRU update; the coalescer's residency oracle).
-    pub(crate) fn l1d_probe(&self, addr: u64) -> bool {
-        self.l1d.probe(addr)
-    }
-
-    /// Propagates the fast/reference lookup choice to every level.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.l1d.set_fast_path(enabled);
-        self.l1i.set_fast_path(enabled);
-        self.l2.set_fast_path(enabled);
     }
 
     /// Performs a data access (load or store — write-allocate).
@@ -494,17 +462,17 @@ impl CacheHierarchy {
     }
 
     /// The L1 data cache.
-    pub fn l1d(&self) -> &Cache {
+    pub fn l1d(&self) -> &Cache<P> {
         &self.l1d
     }
 
     /// The L1 instruction cache.
-    pub fn l1i(&self) -> &Cache {
+    pub fn l1i(&self) -> &Cache<P> {
         &self.l1i
     }
 
     /// The unified L2 cache.
-    pub fn l2(&self) -> &Cache {
+    pub fn l2(&self) -> &Cache<P> {
         &self.l2
     }
 
@@ -551,7 +519,7 @@ mod tests {
 
     #[test]
     fn cold_access_misses_then_hits() {
-        let mut c = Cache::new(CacheConfig::l1d());
+        let mut c: Cache = Cache::new(CacheConfig::l1d());
         assert_eq!(c.access(0x1000), Lookup::Miss);
         assert_eq!(c.access(0x1000), Lookup::Hit);
         assert_eq!(c.access(0x103f), Lookup::Hit, "same 64-byte line");
@@ -562,7 +530,7 @@ mod tests {
 
     #[test]
     fn flush_evicts_line() {
-        let mut c = Cache::new(CacheConfig::l1d());
+        let mut c: Cache = Cache::new(CacheConfig::l1d());
         c.access(0x2000);
         assert!(c.probe(0x2000));
         c.flush(0x2010); // any address within the line
@@ -574,7 +542,7 @@ mod tests {
     fn lru_evicts_least_recent() {
         // 2-way cache, one set: third distinct line evicts the LRU one.
         let cfg = CacheConfig { sets: 1, ways: 2, line_size: 64, hit_latency: 1 };
-        let mut c = Cache::new(cfg);
+        let mut c: Cache = Cache::new(cfg);
         c.access(0); // line A
         c.access(64); // line B
         c.access(0); // touch A → B is now LRU
@@ -588,7 +556,7 @@ mod tests {
     fn set_conflict_eviction() {
         // Lines that map to the same set conflict; capacity eviction works.
         let cfg = CacheConfig { sets: 4, ways: 1, line_size: 64, hit_latency: 1 };
-        let mut c = Cache::new(cfg);
+        let mut c: Cache = Cache::new(cfg);
         let stride = 4 * 64; // same set every `sets * line_size`
         c.access(0);
         c.access(stride);
@@ -597,7 +565,7 @@ mod tests {
 
     #[test]
     fn hierarchy_latency_ordering() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
         let miss = h.access_data(0x8000);
         assert!(miss.is_memory_access());
         let hit = h.access_data(0x8000);
@@ -607,7 +575,7 @@ mod tests {
 
     #[test]
     fn l2_backstops_l1_eviction() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
         h.access_data(0x4000);
         // Evict from L1 only.
         h.l1d.flush(0x4000);
@@ -618,7 +586,7 @@ mod tests {
 
     #[test]
     fn clflush_flushes_all_levels() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
         h.access_data(0x4000);
         h.flush_line(0x4000);
         assert!(!h.data_resident(0x4000));
@@ -628,7 +596,7 @@ mod tests {
 
     #[test]
     fn instruction_and_data_paths_are_separate_at_l1() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
         h.access_instr(0x1000);
         // The first *data* access to the same line misses L1D but hits L2.
         let r = h.access_data(0x1000);
@@ -639,7 +607,7 @@ mod tests {
     #[test]
     fn next_line_prefetcher_fills_the_adjacent_line() {
         let cfg = HierarchyConfig { next_line_prefetch: true, ..HierarchyConfig::default() };
-        let mut h = CacheHierarchy::new(cfg);
+        let mut h: CacheHierarchy = CacheHierarchy::new(cfg);
         h.access_data(0x8000);
         assert!(h.data_resident(0x8040), "next line prefetched");
         assert_eq!(h.prefetch_fills(), 1);
@@ -653,7 +621,7 @@ mod tests {
 
     #[test]
     fn prefetcher_is_off_by_default() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
         h.access_data(0x8000);
         assert!(!h.data_resident(0x8040));
         assert_eq!(h.prefetch_fills(), 0);
@@ -662,7 +630,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_geometry_panics() {
-        let _ = Cache::new(CacheConfig { sets: 3, ways: 1, line_size: 64, hit_latency: 1 });
+        let _: Cache = Cache::new(CacheConfig { sets: 3, ways: 1, line_size: 64, hit_latency: 1 });
     }
 
     /// Pins the shift/mask index math to the reference formula
@@ -671,7 +639,7 @@ mod tests {
     #[test]
     fn set_index_matches_reference_for_presets() {
         for cfg in [CacheConfig::l1d(), CacheConfig::l1i(), CacheConfig::l2()] {
-            let c = Cache::new(cfg);
+            let c: Cache = Cache::new(cfg);
             let addrs = [
                 0u64,
                 1,
@@ -699,13 +667,13 @@ mod tests {
     /// presets so the constants themselves are pinned, not just the formula.
     #[test]
     fn l1_preset_set_numbers() {
-        let c = Cache::new(CacheConfig::l1d());
+        let c: Cache = Cache::new(CacheConfig::l1d());
         assert_eq!(c.set_index_of(0x0000), 0);
         assert_eq!(c.set_index_of(0x003f), 0, "same line");
         assert_eq!(c.set_index_of(0x0040), 1, "next line, next set");
         assert_eq!(c.set_index_of(0x0fc0), 63, "last set");
         assert_eq!(c.set_index_of(0x1000), 0, "wraps every sets*line_size bytes");
-        let l2 = Cache::new(CacheConfig::l2());
+        let l2: Cache = Cache::new(CacheConfig::l2());
         assert_eq!(l2.set_index_of(0x7fc0), 511, "L2 has 512 sets");
         assert_eq!(l2.set_index_of(0x8000), 0);
     }
@@ -715,7 +683,7 @@ mod tests {
     /// the unhinted lookup would.
     #[test]
     fn mru_hint_is_transparent_across_flushes() {
-        let mut c = Cache::new(CacheConfig::l1d());
+        let mut c: Cache = Cache::new(CacheConfig::l1d());
         assert_eq!(c.access(0x1000), Lookup::Miss);
         assert_eq!(c.access(0x1000), Lookup::Hit, "hint hit");
         c.flush(0x1000);
@@ -728,14 +696,13 @@ mod tests {
         assert_eq!(c.misses(), 4);
     }
 
-    /// The reference lookup path (`set_fast_path(false)`) produces the
+    /// The reference lookup path (`Cache<Reference>`) produces the
     /// identical hit/miss stream and identical counters over a stream
     /// that exercises conflicts, repeats, and flushes.
     #[test]
-    fn reference_path_matches_fast_path() {
-        let run = |fast: bool| {
-            let mut c = Cache::new(CacheConfig::l1d());
-            c.set_fast_path(fast);
+    fn reference_cache_matches_fast_cache() {
+        fn run<P: ExecPath>() -> (Vec<Lookup>, u64, u64, u64) {
+            let mut c = Cache::<P>::new(CacheConfig::l1d());
             let mut stream = Vec::new();
             for i in 0u64..600 {
                 let addr = (i * 97) % 0x3000; // revisits lines and sets
@@ -745,7 +712,7 @@ mod tests {
                 }
             }
             (stream, c.hits(), c.misses(), c.evictions())
-        };
-        assert_eq!(run(true), run(false));
+        }
+        assert_eq!(run::<Fast>(), run::<crate::config::Reference>());
     }
 }

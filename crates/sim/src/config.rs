@@ -1,6 +1,42 @@
-//! Machine configuration: microarchitectural parameters and protections.
+//! Machine configuration: microarchitectural parameters, protections and
+//! the execution path.
+
+use std::marker::PhantomData;
 
 use crate::cache::HierarchyConfig;
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// How the simulator executes: a type parameter of [`MachineConfig`],
+/// [`Machine`](crate::cpu::Machine), [`Memory`](crate::mem::Memory) and
+/// the caches, read only as [`ExecPath::FAST`]. Sealed: the paths are
+/// [`Fast`] and [`Reference`], and results are bit-identical on both.
+pub trait ExecPath: sealed::Sealed + Copy + std::fmt::Debug + Eq + Send + Sync + 'static {
+    /// Whether the interpreter's caches and batching are on.
+    const FAST: bool;
+}
+
+/// The production path: decode cache, hit coalescers, batched counters,
+/// the permission cache, the MRU hint and shift/mask cache indexing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fast;
+
+/// The reference path, none of those: the oracle `Fast` is tested against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reference;
+
+impl sealed::Sealed for Fast {}
+impl sealed::Sealed for Reference {}
+
+impl ExecPath for Fast {
+    const FAST: bool = true;
+}
+
+impl ExecPath for Reference {
+    const FAST: bool = false;
+}
 
 /// Software/hardware mitigations that can be toggled per machine.
 ///
@@ -50,9 +86,11 @@ impl Default for ProtectConfig {
     }
 }
 
-/// Full machine configuration.
+/// Full machine configuration. `P` picks the execution path of the
+/// [`Machine`](crate::cpu::Machine) built from it; every constructor
+/// builds [`Fast`], and [`MachineConfig::with_path`] converts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MachineConfig {
+pub struct MachineConfig<P: ExecPath = Fast> {
     /// Guest physical memory size in bytes.
     pub mem_size: u64,
     /// Cache hierarchy geometry and latencies.
@@ -76,12 +114,8 @@ pub struct MachineConfig {
     pub stack_size: u64,
     /// Seed for machine-internal randomness (canary value, `getrand`).
     pub seed: u64,
-    /// Execution fast path: predecoded-instruction cache plus the
-    /// single-page permission cache in [`crate::mem::Memory`]. Purely an
-    /// interpreter optimization — results are bit-identical either way
-    /// (enforced by the `fastpath_equivalence` suite) — but it can be
-    /// switched off to debug the simulator or to baseline the speedup.
-    pub fast_path: bool,
+    /// The execution path (zero-sized).
+    pub path: PhantomData<P>,
 }
 
 impl Default for MachineConfig {
@@ -97,7 +131,7 @@ impl Default for MachineConfig {
             max_instructions: 500_000_000,
             stack_size: 512 * 1024,
             seed: 0xc0ffee,
-            fast_path: true,
+            path: PhantomData,
         }
     }
 }
@@ -136,6 +170,25 @@ impl MachineConfig {
     }
 }
 
+impl<P: ExecPath> MachineConfig<P> {
+    /// The same configuration on the execution path `Q`.
+    pub fn with_path<Q: ExecPath>(self) -> MachineConfig<Q> {
+        MachineConfig {
+            mem_size: self.mem_size,
+            caches: self.caches,
+            spec_window: self.spec_window,
+            mispredict_penalty: self.mispredict_penalty,
+            protect: self.protect,
+            invisispec_load_penalty: self.invisispec_load_penalty,
+            csf_fence_penalty: self.csf_fence_penalty,
+            max_instructions: self.max_instructions,
+            stack_size: self.stack_size,
+            seed: self.seed,
+            path: PhantomData,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +200,6 @@ mod tests {
         assert!(c.protect.clflush_enabled);
         assert!(!c.protect.shadow_stack);
         assert!(c.spec_window >= 8, "enough transient depth for Spectre v1");
-        assert!(c.fast_path, "fast path is the default; slow path is the debug hatch");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::cache::CacheHierarchy;
-use crate::config::MachineConfig;
+use crate::config::{ExecPath, Fast, MachineConfig};
 use crate::error::{ExitReason, Fault, RunOutcome};
 use crate::image::{Image, LoadedImage, SegKind};
 use crate::isa::{AluOp, Instr, Reg, Width, INSTR_BYTES};
@@ -105,6 +105,9 @@ struct DecodeCache {
     instrs: Box<[Instr; DECODE_SLOTS]>,
     /// The [`Memory::code_epoch`] the current entries were filled under.
     epoch: u64,
+    /// Slots filled and whole-cache drops (epoch changes) so far.
+    fills: u64,
+    flushes: u64,
 }
 
 impl DecodeCache {
@@ -113,6 +116,8 @@ impl DecodeCache {
             tags: Box::new([u64::MAX; DECODE_SLOTS]),
             instrs: Box::new([Instr::Nop; DECODE_SLOTS]),
             epoch: 0,
+            fills: 0,
+            flushes: 0,
         }
     }
 
@@ -124,6 +129,7 @@ impl DecodeCache {
     fn clear(&mut self, epoch: u64) {
         self.tags.fill(u64::MAX);
         self.epoch = epoch;
+        self.flushes += 1;
     }
 }
 
@@ -148,7 +154,8 @@ enum FetchFail {
     Decode,
 }
 
-/// The simulated machine.
+/// The simulated machine, on the execution path `P` (see [`ExecPath`]),
+/// which [`Machine::new`] takes from its configuration.
 ///
 /// # Examples
 ///
@@ -176,10 +183,10 @@ enum FetchFail {
 /// # Ok::<(), cr_spectre_sim::error::Fault>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct Machine {
-    cfg: MachineConfig,
-    mem: Memory,
-    caches: CacheHierarchy,
+pub struct Machine<P: ExecPath = Fast> {
+    cfg: MachineConfig<P>,
+    mem: Memory<P>,
+    caches: CacheHierarchy<P>,
     pred: Predictor,
     pmu: Pmu,
     regs: [u64; 16],
@@ -358,14 +365,13 @@ impl FetchCoalescer {
     }
 }
 
-impl Machine {
+impl<P: ExecPath> Machine<P> {
     /// Creates a machine with the standard memory layout: guard page at 0,
     /// info page, argument area, image space, heap, and a stack below the
-    /// top of memory.
-    pub fn new(cfg: MachineConfig) -> Machine {
+    /// top of memory. The execution path is the configuration's `P`.
+    pub fn new(cfg: MachineConfig<P>) -> Machine<P> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut mem = Memory::new(cfg.mem_size);
-        mem.set_fast_path(cfg.fast_path);
         // Info page: readable by guests (canary value lives here).
         mem.set_perms(INFO_PAGE, PAGE_SIZE, Perms::R);
         let canary = rng.next_u64() | 0xff; // never contains a zero low byte
@@ -377,10 +383,8 @@ impl Machine {
         let stack_lo = stack_hi - cfg.stack_size;
         let stack_perms = if cfg.protect.dep { Perms::RW } else { Perms::RWX };
         mem.set_perms(stack_lo, cfg.stack_size, stack_perms);
-        let mut caches = CacheHierarchy::new(cfg.caches);
-        caches.set_fast_path(cfg.fast_path);
         Machine {
-            caches,
+            caches: CacheHierarchy::new(cfg.caches),
             pred: Predictor::new(),
             pmu: Pmu::new(),
             regs: [0; 16],
@@ -604,23 +608,23 @@ impl Machine {
     /// last settle: the fast path batches hits on a few hot lines until
     /// [`Machine::pmu`], [`Machine::caches_mut`], a miss on that side, a
     /// line flush or the machine stopping applies them.
-    pub fn caches(&self) -> &CacheHierarchy {
+    pub fn caches(&self) -> &CacheHierarchy<P> {
         &self.caches
     }
 
     /// The cache hierarchy (mutation — e.g. priming experiments).
-    pub fn caches_mut(&mut self) -> &mut CacheHierarchy {
+    pub fn caches_mut(&mut self) -> &mut CacheHierarchy<P> {
         self.untrack_lines();
         &mut self.caches
     }
 
     /// Guest memory (inspection).
-    pub fn mem(&self) -> &Memory {
+    pub fn mem(&self) -> &Memory<P> {
         &self.mem
     }
 
     /// Guest memory (mutation — exploit/test setup).
-    pub fn mem_mut(&mut self) -> &mut Memory {
+    pub fn mem_mut(&mut self) -> &mut Memory<P> {
         &mut self.mem
     }
 
@@ -669,8 +673,14 @@ impl Machine {
     }
 
     /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
+    pub fn config(&self) -> &MachineConfig<P> {
         &self.cfg
+    }
+
+    /// Decode-cache `(fills, flushes)` so far: host-side statistics, not
+    /// PMU events, and both 0 on the reference path (no decode cache).
+    pub fn decode_cache_stats(&self) -> (u64, u64) {
+        (self.dcache.fills, self.dcache.flushes)
     }
 
     // ---------------------------------------------------------------
@@ -705,21 +715,17 @@ impl Machine {
     /// counter for counter, so a sampler can read [`Machine::pmu`] at each
     /// window boundary exactly as it could between steps. A limit at or
     /// below `cycles()` executes nothing.
+    ///
+    /// The loop is generic over `P`, so each crate that runs a machine
+    /// compiles its own copy. The small non-generic helpers it calls in
+    /// `branch`, `isa` and `pmu` are `#[inline]`, so those copies inline
+    /// them as this crate's own could: without that, test builds
+    /// (`opt-level = 1`) ran the campaign goldens nearly 2x slower.
     pub fn run_until(&mut self, cycle_limit: u64) -> Option<ExitReason> {
-        if self.cfg.fast_path {
-            self.run_until_on::<true>(cycle_limit)
-        } else {
-            self.run_until_on::<false>(cycle_limit)
-        }
-    }
-
-    /// The one step loop, instantiated once per path so the hot loop
-    /// never tests `cfg.fast_path`.
-    fn run_until_on<const FAST: bool>(&mut self, cycle_limit: u64) -> Option<ExitReason> {
         if self.stopped.is_none() {
             let max_instructions = self.cfg.max_instructions;
             while self.cycle < cycle_limit {
-                if self.step_once::<FAST>(max_instructions).is_err() {
+                if self.step_once(max_instructions).is_err() {
                     break;
                 }
             }
@@ -749,6 +755,9 @@ impl Machine {
         telemetry::counter("sim.stall_cycles_mem", pmu.count(HpcEvent::StallCyclesMem));
         telemetry::counter("sim.stall_cycles_branch", pmu.count(HpcEvent::StallCyclesBranch));
         telemetry::counter("sim.flushes", pmu.count(HpcEvent::Flushes));
+        let (fills, flushes) = self.decode_cache_stats();
+        telemetry::counter("sim.decode_fills", fills);
+        telemetry::counter("sim.decode_flushes", flushes);
         self.caches.emit_telemetry();
     }
 
@@ -756,21 +765,13 @@ impl Machine {
     /// `(pc, instruction)` executed — the debugger's trace view. Stops at
     /// the limit or when the machine stops, returning the trace.
     pub fn run_traced(&mut self, limit: usize) -> Vec<(u64, Instr)> {
-        if self.cfg.fast_path {
-            self.run_traced_on::<true>(limit)
-        } else {
-            self.run_traced_on::<false>(limit)
-        }
-    }
-
-    fn run_traced_on<const FAST: bool>(&mut self, limit: usize) -> Vec<(u64, Instr)> {
         let mut trace = Vec::with_capacity(limit.min(4096));
         for _ in 0..limit {
             let pc = self.pc;
             // Peek: decode without microarchitectural effects — the step
             // below performs the real fetch.
-            let decoded = self.fetch_decode::<FAST>(pc, FetchMode::Peek).ok();
-            let running = self.step_checked::<FAST>().is_ok();
+            let decoded = self.fetch_decode(pc, FetchMode::Peek).ok();
+            let running = self.step() == StepStatus::Running;
             if let Some(instr) = decoded {
                 trace.push((pc, instr));
             }
@@ -787,58 +788,46 @@ impl Machine {
     /// On the fast path, batched counters are settled when the PMU is
     /// read ([`Machine::pmu`]), so samplers reading it between steps
     /// observe exact totals without the hot loop paying a per-step mirror
-    /// cost. The slow path mirrors every counter every step, as the
-    /// reference implementation did.
+    /// cost. The reference path mirrors every counter every step.
+    #[inline(never)]
     pub fn step(&mut self) -> StepStatus {
-        // A step fails exactly when it leaves the machine stopped.
-        let _ = if self.cfg.fast_path {
-            self.step_checked::<true>()
-        } else {
-            self.step_checked::<false>()
-        };
+        if self.stopped.is_none() {
+            // A step fails exactly when it leaves the machine stopped.
+            let _ = self.step_once(self.cfg.max_instructions);
+        }
         match &self.stopped {
             Some(exit) => StepStatus::Done(exit.clone()),
             None => StepStatus::Running,
         }
     }
 
-    /// One step of a machine that may already have stopped (the public
-    /// single-step entries; the window loop checks once, up front).
-    #[inline(never)]
-    fn step_checked<const FAST: bool>(&mut self) -> Result<(), Stopped> {
-        if self.stopped.is_some() {
-            return Err(Stopped);
-        }
-        self.step_once::<FAST>(self.cfg.max_instructions)
-    }
-
     /// One step of a running machine: the instruction budget check, then
     /// fetch, decode and execute.
     #[inline(always)]
-    fn step_once<const FAST: bool>(&mut self, max_instructions: u64) -> Result<(), Stopped> {
+    fn step_once(&mut self, max_instructions: u64) -> Result<(), Stopped> {
         if self.retired >= max_instructions {
             return Err(self.stop_fault(Fault::MaxInstructions));
         }
-        let result = self.step_inner::<FAST>();
-        if !FAST {
+        let result = self.step_inner();
+        if !P::FAST {
             self.sync_eviction_counter();
         }
         result
     }
 
     #[inline(always)]
-    fn step_inner<const FAST: bool>(&mut self) -> Result<(), Stopped> {
+    fn step_inner(&mut self) -> Result<(), Stopped> {
         let pc = self.pc;
-        let instr = match self.fetch_decode::<FAST>(pc, FetchMode::Step) {
+        let instr = match self.fetch_decode(pc, FetchMode::Step) {
             Ok(instr) => instr,
             Err(fail) => return Err(self.fetch_fault(pc, fail)),
         };
         self.retired += 1;
-        if !FAST {
+        if !P::FAST {
             self.pmu.incr(HpcEvent::Instructions);
             self.instrs_flushed = self.retired;
         }
-        self.exec::<FAST>(pc, instr)
+        self.exec(pc, instr)
     }
 
     /// Stops the machine on a failed architectural fetch.
@@ -865,12 +854,8 @@ impl Machine {
     /// inline in the step loop; everything else is
     /// [`Machine::fetch_decode_miss`].
     #[inline(always)]
-    fn fetch_decode<const FAST: bool>(
-        &mut self,
-        pc: u64,
-        mode: FetchMode,
-    ) -> Result<Instr, FetchFail> {
-        if FAST {
+    fn fetch_decode(&mut self, pc: u64, mode: FetchMode) -> Result<Instr, FetchFail> {
+        if P::FAST {
             let slot = DecodeCache::slot(pc);
             if self.dcache.tags[slot] == pc && self.dcache.epoch == self.mem.code_epoch() {
                 let instr = self.dcache.instrs[slot];
@@ -880,7 +865,7 @@ impl Machine {
                 return Ok(instr);
             }
         }
-        self.fetch_decode_miss::<FAST>(pc, mode)
+        self.fetch_decode_miss(pc, mode)
     }
 
     /// Decode-cache miss (or the reference path): drop a stale cache,
@@ -888,24 +873,21 @@ impl Machine {
     /// decode, and refill the slot.
     #[cold]
     #[inline(never)]
-    fn fetch_decode_miss<const FAST: bool>(
-        &mut self,
-        pc: u64,
-        mode: FetchMode,
-    ) -> Result<Instr, FetchFail> {
-        if FAST && self.dcache.epoch != self.mem.code_epoch() {
+    fn fetch_decode_miss(&mut self, pc: u64, mode: FetchMode) -> Result<Instr, FetchFail> {
+        if P::FAST && self.dcache.epoch != self.mem.code_epoch() {
             self.dcache.clear(self.mem.code_epoch());
         }
         let mut bytes = [0u8; INSTR_BYTES];
         self.mem.fetch(pc, &mut bytes).map_err(FetchFail::Mem)?;
         if mode != FetchMode::Peek {
-            self.count_instr_fetch::<FAST>(pc, mode);
+            self.count_instr_fetch(pc, mode);
         }
         let instr = Instr::decode(&bytes).map_err(|_| FetchFail::Decode)?;
-        if FAST {
+        if P::FAST {
             let slot = DecodeCache::slot(pc);
             self.dcache.tags[slot] = pc;
             self.dcache.instrs[slot] = instr;
+            self.dcache.fills += 1;
         }
         Ok(instr)
     }
@@ -918,27 +900,18 @@ impl Machine {
     /// the cache model entirely and coalesce into deferred bulk-hits.
     /// Other fetches go to [`Machine::count_untracked_fetch`].
     ///
-    /// Slow path: the seed implementation — a full cache-model access
-    /// and immediate PMU increments per fetch.
+    /// Reference path: a full cache-model access and immediate PMU
+    /// increments per fetch.
     #[inline(always)]
-    fn count_instr_fetch<const FAST: bool>(&mut self, pc: u64, mode: FetchMode) {
-        if FAST {
+    fn count_instr_fetch(&mut self, pc: u64, mode: FetchMode) {
+        if P::FAST {
             // One counter bump covers the model hit and both PMU
             // events; the split happens when the batch is applied.
             if !self.icoal.note(pc & self.icoal.line_mask) {
                 self.count_untracked_fetch(pc, mode);
             }
         } else {
-            let fetch = self.caches.access_instr(pc);
-            self.pmu.incr(HpcEvent::L1iAccess);
-            if fetch.l1_hit {
-                self.pmu.incr(HpcEvent::L1iHit);
-            } else {
-                self.pmu.incr(HpcEvent::L1iMiss);
-                if mode == FetchMode::Step {
-                    self.tick::<false>(fetch.latency);
-                }
-            }
+            self.icache_access(pc, mode);
         }
     }
 
@@ -955,21 +928,27 @@ impl Machine {
             self.icoal.untrack();
             slot = Some(0);
         }
-        if self.caches.l1i_probe(line) {
+        if self.caches.l1i.probe(line) {
             self.icoal.insert_hit(slot.expect("slot freed above"), line);
             return;
         }
         self.apply_pending_ifetches();
         self.icoal.untrack();
-        let fetch = self.caches.access_instr(pc);
         self.icoal.insert_seeded(0, line);
+        self.icache_access(pc, mode);
+    }
+
+    /// A full L1i model access for a fetch at `pc`, counted in the PMU at
+    /// once; an architectural fetch pays the miss latency at once too.
+    fn icache_access(&mut self, pc: u64, mode: FetchMode) {
+        let fetch = self.caches.access_instr(pc);
         self.pmu.incr(HpcEvent::L1iAccess);
         if fetch.l1_hit {
             self.pmu.incr(HpcEvent::L1iHit);
         } else {
             self.pmu.incr(HpcEvent::L1iMiss);
             if mode == FetchMode::Step {
-                self.tick::<true>(fetch.latency);
+                self.tick(fetch.latency);
             }
         }
     }
@@ -981,7 +960,7 @@ impl Machine {
     fn apply_pending_ifetches(&mut self) {
         let (entries, n, total) = self.icoal.take();
         if total > 0 {
-            self.caches.l1i_bulk_batch(&entries[..n], total);
+            self.caches.l1i.bulk_batch(&entries[..n], total);
             self.pmu.add(HpcEvent::L1iAccess, total);
             self.pmu.add(HpcEvent::L1iHit, total);
         }
@@ -992,7 +971,7 @@ impl Machine {
     fn apply_pending_dfetches(&mut self) {
         let (entries, n, total) = self.dcoal.take();
         if total > 0 {
-            self.caches.l1d_bulk_batch(&entries[..n], total);
+            self.caches.l1d.bulk_batch(&entries[..n], total);
             self.pmu.add(HpcEvent::L1dAccess, total);
             self.pmu.add(HpcEvent::L1dHit, total);
             self.pmu.add(HpcEvent::TotalCacheAccess, total);
@@ -1048,13 +1027,12 @@ impl Machine {
     }
 
     /// Advances time. On the fast path the [`HpcEvent::Cycles`] mirror is
-    /// updated by [`Machine::settle`] when the PMU is next read; the slow
-    /// path mirrors immediately, like the reference implementation always
-    /// did.
+    /// updated by [`Machine::settle`] when the PMU is next read; the
+    /// reference path mirrors immediately.
     #[inline(always)]
-    fn tick<const FAST: bool>(&mut self, n: u64) {
+    fn tick(&mut self, n: u64) {
         self.cycle += n;
-        if !FAST {
+        if !P::FAST {
             self.pmu.add(HpcEvent::Cycles, n);
             self.cycles_flushed = self.cycle;
         }
@@ -1062,12 +1040,12 @@ impl Machine {
 
     /// Stalls until every register in `rs` holds a ready value.
     #[inline(always)]
-    fn wait_ready<const FAST: bool>(&mut self, rs: &[Reg]) {
+    fn wait_ready(&mut self, rs: &[Reg]) {
         let ready = rs.iter().map(|r| self.reg_ready[r.index()]).max().unwrap_or(0);
         if ready > self.cycle {
             let stall = ready - self.cycle;
             self.pmu.add(HpcEvent::StallCyclesMem, stall);
-            self.tick::<FAST>(stall);
+            self.tick(stall);
         }
     }
 
@@ -1110,15 +1088,11 @@ impl Machine {
     /// joins the table via a read-only probe; a genuine miss applies the
     /// batch and runs the real access.
     ///
-    /// Slow path: the seed implementation — a full cache-model access and
-    /// immediate PMU increments per access.
+    /// Reference path: a full cache-model access and immediate PMU
+    /// increments per access.
     #[inline(always)]
-    fn data_access<const FAST: bool>(
-        &mut self,
-        addr: u64,
-        write: bool,
-    ) -> crate::cache::AccessResult {
-        if FAST {
+    fn data_access(&mut self, addr: u64, write: bool) -> crate::cache::AccessResult {
+        if P::FAST {
             let hit = crate::cache::AccessResult {
                 latency: self.l1d_hit_latency,
                 l1_hit: true,
@@ -1134,7 +1108,7 @@ impl Machine {
                 self.dcoal.untrack();
                 slot = Some(0);
             }
-            if self.caches.l1d_probe(line) {
+            if self.caches.l1d.probe(line) {
                 self.dcoal.insert_hit(slot.expect("slot freed above"), line);
                 return hit;
             }
@@ -1152,87 +1126,78 @@ impl Machine {
     }
 
     #[inline(always)]
-    fn load_value<const FAST: bool>(
-        &mut self,
-        addr: u64,
-        width: Width,
-    ) -> Result<(u64, u64), Fault> {
+    fn load_value(&mut self, addr: u64, width: Width) -> Result<(u64, u64), Fault> {
         let value = match width {
             Width::B => self.mem.read_u8(addr)? as u64,
             Width::W => self.mem.read_u32(addr)? as u64,
             Width::D => self.mem.read_u64(addr)?,
         };
-        let result = self.data_access::<FAST>(addr, false);
+        let result = self.data_access(addr, false);
         Ok((value, result.latency))
     }
 
     #[inline(always)]
-    fn store_value<const FAST: bool>(
-        &mut self,
-        addr: u64,
-        width: Width,
-        value: u64,
-    ) -> Result<(), Fault> {
+    fn store_value(&mut self, addr: u64, width: Width, value: u64) -> Result<(), Fault> {
         match width {
             Width::B => self.mem.write_u8(addr, value as u8)?,
             Width::W => self.mem.write_u32(addr, value as u32)?,
             Width::D => self.mem.write_u64(addr, value)?,
         }
-        self.data_access::<FAST>(addr, true);
+        self.data_access(addr, true);
         Ok(())
     }
 
     /// Executes one decoded instruction at `pc` (inlined into the step
     /// loop). `Err` means the instruction stopped the machine.
     #[inline(always)]
-    fn exec<const FAST: bool>(&mut self, pc: u64, instr: Instr) -> Result<(), Stopped> {
+    fn exec(&mut self, pc: u64, instr: Instr) -> Result<(), Stopped> {
         let mut next_pc = pc.wrapping_add(INSTR_BYTES as u64);
         match instr {
-            Instr::Nop => self.tick::<FAST>(1),
+            Instr::Nop => self.tick(1),
             Instr::Halt => {
-                self.tick::<FAST>(1);
+                self.tick(1);
                 return Err(self.stop(ExitReason::Halted));
             }
             Instr::Ldi(rd, imm) => {
                 self.regs[rd.index()] = imm as i64 as u64;
                 self.reg_ready[rd.index()] = self.cycle;
                 self.pmu.incr(HpcEvent::MovOps);
-                self.tick::<FAST>(1);
+                self.tick(1);
             }
             Instr::Ldih(rd, imm) => {
-                self.wait_ready::<FAST>(&[rd]);
+                self.wait_ready(&[rd]);
                 let low = self.regs[rd.index()] & 0xffff_ffff;
                 self.regs[rd.index()] = ((imm as u32 as u64) << 32) | low;
                 self.reg_ready[rd.index()] = self.cycle;
                 self.pmu.incr(HpcEvent::MovOps);
-                self.tick::<FAST>(1);
+                self.tick(1);
             }
             Instr::Mov(rd, rs) => {
-                self.wait_ready::<FAST>(&[rs]);
+                self.wait_ready(&[rs]);
                 self.regs[rd.index()] = self.regs[rs.index()];
                 self.reg_ready[rd.index()] = self.cycle;
                 self.pmu.incr(HpcEvent::MovOps);
-                self.tick::<FAST>(1);
+                self.tick(1);
             }
             Instr::Alu(op, rd, rs1, rs2) => {
-                self.wait_ready::<FAST>(&[rs1, rs2]);
+                self.wait_ready(&[rs1, rs2]);
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], self.regs[rs2.index()]);
                 self.count_alu(op);
-                self.tick::<FAST>(alu_latency(op));
+                self.tick(alu_latency(op));
                 self.reg_ready[rd.index()] = self.cycle;
             }
             Instr::Alui(op, rd, rs1, imm) => {
-                self.wait_ready::<FAST>(&[rs1]);
+                self.wait_ready(&[rs1]);
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], imm as i64 as u64);
                 self.pmu.incr(HpcEvent::AluImmOps);
                 self.count_alu(op);
-                self.tick::<FAST>(alu_latency(op));
+                self.tick(alu_latency(op));
                 self.reg_ready[rd.index()] = self.cycle;
             }
             Instr::Ld(w, rd, rs1, imm) => {
-                self.wait_ready::<FAST>(&[rs1]);
+                self.wait_ready(&[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                let (value, latency) = match self.load_value::<FAST>(addr, w) {
+                let (value, latency) = match self.load_value(addr, w) {
                     Ok(v) => v,
                     Err(fault) => return Err(self.page_fault(fault)),
                 };
@@ -1243,7 +1208,7 @@ impl Machine {
                     Width::W => {}
                 }
                 self.regs[rd.index()] = value;
-                self.tick::<FAST>(1);
+                self.tick(1);
                 // InvisiSpec: every committed load re-validates against
                 // the speculative buffer before exposure.
                 let penalty = if self.cfg.protect.invisispec {
@@ -1255,13 +1220,13 @@ impl Machine {
                 self.reg_ready[rd.index()] = self.cycle + latency + penalty;
             }
             Instr::St(w, rs1, rs2, imm) => {
-                self.wait_ready::<FAST>(&[rs1, rs2]);
+                self.wait_ready(&[rs1, rs2]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                if let Err(fault) = self.store_value::<FAST>(addr, w, self.regs[rs2.index()]) {
+                if let Err(fault) = self.store_value(addr, w, self.regs[rs2.index()]) {
                     return Err(self.page_fault(fault));
                 }
                 self.pmu.incr(HpcEvent::Stores);
-                self.tick::<FAST>(1);
+                self.tick(1);
             }
             Instr::Br(cond, rs1, rs2, imm) => {
                 let taken = cond.holds(self.regs[rs1.index()], self.regs[rs2.index()]);
@@ -1283,22 +1248,22 @@ impl Machine {
                     // until it actually resolves.
                     let stall = resolve_at.saturating_sub(self.cycle);
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick::<FAST>(stall);
+                    self.tick(stall);
                     self.pmu.incr(HpcEvent::Fences);
-                    self.tick::<FAST>(self.cfg.csf_fence_penalty);
+                    self.tick(self.cfg.csf_fence_penalty);
                     if predicted != taken {
                         self.pmu.incr(HpcEvent::BranchMispredicts);
                     }
                 } else if predicted == taken {
-                    self.tick::<FAST>(1);
+                    self.tick(1);
                 } else {
                     self.pmu.incr(HpcEvent::BranchMispredicts);
                     let wrong = if predicted { target } else { next_pc };
                     let budget = resolve_at.saturating_sub(self.cycle);
-                    self.speculate::<FAST>(wrong, budget);
+                    self.speculate_at(wrong, budget);
                     let stall = resolve_at.saturating_sub(self.cycle) + self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick::<FAST>(stall);
+                    self.tick(stall);
                 }
                 if taken {
                     next_pc = target;
@@ -1307,7 +1272,7 @@ impl Machine {
             Instr::Jmp(imm) => {
                 self.pmu.incr(HpcEvent::BranchInstrs);
                 self.pmu.incr(HpcEvent::Jumps);
-                self.tick::<FAST>(1);
+                self.tick(1);
                 next_pc = pc.wrapping_add(imm as i64 as u64);
             }
             Instr::JmpR(rs) => {
@@ -1315,43 +1280,43 @@ impl Machine {
                 self.pmu.incr(HpcEvent::IndirectBranches);
                 let predicted = self.pred.btb.predict(pc);
                 let resolve_at = self.resolve_cycle(&[rs]);
-                self.wait_ready::<FAST>(&[rs]);
+                self.wait_ready(&[rs]);
                 let target = self.regs[rs.index()];
                 self.pred.btb.update(pc, target);
                 if predicted == Some(target) {
-                    self.tick::<FAST>(1);
+                    self.tick(1);
                 } else {
                     self.pmu.incr(HpcEvent::BtbMispredicts);
                     self.pmu.incr(HpcEvent::BranchMispredicts);
                     if let Some(wrong) = predicted {
                         if !self.cfg.protect.csf {
                             let budget = resolve_at.saturating_sub(self.cycle);
-                            self.speculate::<FAST>(wrong, budget);
+                            self.speculate_at(wrong, budget);
                         }
                     }
                     let stall = self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick::<FAST>(stall);
+                    self.tick(stall);
                 }
                 next_pc = target;
             }
             Instr::Call(imm) => {
                 let ret = next_pc;
-                self.push_u64::<FAST>(ret)?;
+                self.push_u64(ret)?;
                 self.pred.rsb.push(ret);
                 if self.cfg.protect.shadow_stack {
                     self.shadow_stack.push(ret);
                 }
                 self.pmu.incr(HpcEvent::BranchInstrs);
                 self.pmu.incr(HpcEvent::Calls);
-                self.tick::<FAST>(1);
+                self.tick(1);
                 next_pc = pc.wrapping_add(imm as i64 as u64);
             }
             Instr::CallR(rs) => {
-                self.wait_ready::<FAST>(&[rs]);
+                self.wait_ready(&[rs]);
                 let target = self.regs[rs.index()];
                 let ret = next_pc;
-                self.push_u64::<FAST>(ret)?;
+                self.push_u64(ret)?;
                 self.pred.rsb.push(ret);
                 if self.cfg.protect.shadow_stack {
                     self.shadow_stack.push(ret);
@@ -1364,13 +1329,13 @@ impl Machine {
                 if predicted != Some(target) {
                     self.pmu.incr(HpcEvent::BtbMispredicts);
                 }
-                self.tick::<FAST>(1);
+                self.tick(1);
                 next_pc = target;
             }
             Instr::Ret => {
-                self.wait_ready::<FAST>(&[Reg::SP]);
+                self.wait_ready(&[Reg::SP]);
                 let sp = self.regs[Reg::SP.index()];
-                let (target, latency) = match self.load_value::<FAST>(sp, Width::D) {
+                let (target, latency) = match self.load_value(sp, Width::D) {
                     Ok(v) => v,
                     Err(fault) => return Err(self.page_fault(fault)),
                 };
@@ -1380,7 +1345,7 @@ impl Machine {
                 let predicted = self.pred.rsb.pop();
                 let resolve_at = self.cycle + latency + BRANCH_RESOLVE_EXTRA;
                 if predicted == Some(target) {
-                    self.tick::<FAST>(1);
+                    self.tick(1);
                 } else {
                     // RSB mispredict: transiently execute at the stale
                     // predicted return address (the Spectre-RSB surface; a
@@ -1390,12 +1355,12 @@ impl Machine {
                     if let Some(wrong) = predicted {
                         if !self.cfg.protect.csf {
                             let budget = resolve_at.saturating_sub(self.cycle);
-                            self.speculate::<FAST>(wrong, budget);
+                            self.speculate_at(wrong, budget);
                         }
                     }
                     let stall = resolve_at.saturating_sub(self.cycle) + self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick::<FAST>(stall);
+                    self.tick(stall);
                 }
                 if self.cfg.protect.shadow_stack {
                     let expected = self.shadow_stack.pop().unwrap_or(0);
@@ -1406,35 +1371,35 @@ impl Machine {
                 next_pc = target;
             }
             Instr::Push(rs) => {
-                self.wait_ready::<FAST>(&[rs, Reg::SP]);
+                self.wait_ready(&[rs, Reg::SP]);
                 let value = self.regs[rs.index()];
-                self.push_u64::<FAST>(value)?;
+                self.push_u64(value)?;
                 self.pmu.incr(HpcEvent::Pushes);
-                self.tick::<FAST>(1);
+                self.tick(1);
             }
             Instr::Pop(rd) => {
-                self.wait_ready::<FAST>(&[Reg::SP]);
+                self.wait_ready(&[Reg::SP]);
                 let sp = self.regs[Reg::SP.index()];
-                let (value, latency) = match self.load_value::<FAST>(sp, Width::D) {
+                let (value, latency) = match self.load_value(sp, Width::D) {
                     Ok(v) => v,
                     Err(fault) => return Err(self.page_fault(fault)),
                 };
                 self.regs[rd.index()] = value;
                 self.regs[Reg::SP.index()] = sp.wrapping_add(8);
                 self.pmu.incr(HpcEvent::Pops);
-                self.tick::<FAST>(1);
+                self.tick(1);
                 self.reg_ready[rd.index()] = self.cycle + latency;
             }
             Instr::ClFlush(rs1, imm) => {
                 if !self.cfg.protect.clflush_enabled {
                     return Err(self.stop_fault(Fault::ClflushDisabled));
                 }
-                self.wait_ready::<FAST>(&[rs1]);
+                self.wait_ready(&[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
                 self.untrack_lines();
                 self.caches.flush_line(addr);
                 self.pmu.incr(HpcEvent::Flushes);
-                self.tick::<FAST>(4);
+                self.tick(4);
             }
             Instr::MFence => {
                 // Serialize: wait for every in-flight value.
@@ -1442,26 +1407,26 @@ impl Machine {
                 if ready > self.cycle {
                     let stall = ready - self.cycle;
                     self.pmu.add(HpcEvent::StallCyclesMem, stall);
-                    self.tick::<FAST>(stall);
+                    self.tick(stall);
                 }
                 self.pmu.incr(HpcEvent::Fences);
-                self.tick::<FAST>(3);
+                self.tick(3);
             }
             Instr::Rdtsc(rd) => {
                 self.regs[rd.index()] = self.cycle;
                 self.reg_ready[rd.index()] = self.cycle;
                 self.pmu.incr(HpcEvent::Rdtscs);
-                self.tick::<FAST>(1);
+                self.tick(1);
             }
             Instr::Syscall => {
                 // Serializing instruction.
                 let ready = self.reg_ready.iter().copied().max().unwrap_or(0);
                 if ready > self.cycle {
                     let stall = ready - self.cycle;
-                    self.tick::<FAST>(stall);
+                    self.tick(stall);
                 }
                 self.pmu.incr(HpcEvent::Syscalls);
-                self.tick::<FAST>(SYSCALL_COST);
+                self.tick(SYSCALL_COST);
                 if let Some(new_pc) = self.do_syscall(next_pc)? {
                     next_pc = new_pc;
                 }
@@ -1482,9 +1447,9 @@ impl Machine {
     }
 
     #[inline(always)]
-    fn push_u64<const FAST: bool>(&mut self, value: u64) -> Result<(), Stopped> {
+    fn push_u64(&mut self, value: u64) -> Result<(), Stopped> {
         let sp = self.regs[Reg::SP.index()].wrapping_sub(8);
-        if let Err(fault) = self.store_value::<FAST>(sp, Width::D, value) {
+        if let Err(fault) = self.store_value(sp, Width::D, value) {
             return Err(self.page_fault(fault));
         }
         self.regs[Reg::SP.index()] = sp;
@@ -1492,8 +1457,7 @@ impl Machine {
     }
 
     /// Runs the system call in `r0`; `Ok(Some(pc))` redirects the
-    /// return, `Err` means the call stopped the machine. It never reads
-    /// the path flag, so it has one instantiation for both paths.
+    /// return, `Err` means the call stopped the machine.
     fn do_syscall(&mut self, return_pc: u64) -> Result<Option<u64>, Stopped> {
         let nr = self.regs[Reg::R0.index()];
         match nr {
@@ -1561,23 +1525,14 @@ impl Machine {
     // Transient (speculative) execution
     // ---------------------------------------------------------------
 
-    /// Runs transient execution at `start` for up to `budget` cycles and
-    /// then squashes, exactly as an internal mispredict would — exposed
-    /// for building custom transient-execution experiments and for
+    /// Executes the wrong path at `start` transiently for up to `budget`
+    /// cycles (and at most `spec_window` instructions), then squashes,
+    /// exactly as an internal mispredict does. Architectural effects are
+    /// discarded; cache and PMU cache-event effects persist. Public for
+    /// building custom transient-execution experiments and for
     /// property-testing the squash invariant.
-    pub fn speculate_at(&mut self, start: u64, budget: u64) {
-        if self.cfg.fast_path {
-            self.speculate::<true>(start, budget);
-        } else {
-            self.speculate::<false>(start, budget);
-        }
-    }
-
-    /// Executes the wrong path transiently for up to `budget` cycles (and
-    /// at most `spec_window` instructions), then squashes. Architectural
-    /// effects are discarded; cache and PMU cache-event effects persist.
     #[inline(never)]
-    fn speculate<const FAST: bool>(&mut self, start: u64, budget: u64) {
+    pub fn speculate_at(&mut self, start: u64, budget: u64) {
         let mut regs = self.regs;
         // Spec-relative readiness (cycle 0 = entry into speculation).
         let mut ready = [0u64; 16];
@@ -1595,7 +1550,7 @@ impl Machine {
             // Transient fetches still fill the instruction cache
             // (`FetchMode::Spec`); a fetch fault is suppressed, a decode
             // failure just ends the transient path.
-            let instr = match self.fetch_decode::<FAST>(pc, FetchMode::Spec) {
+            let instr = match self.fetch_decode(pc, FetchMode::Spec) {
                 Ok(instr) => instr,
                 Err(FetchFail::Mem(_)) => {
                     suppressed += 1;
@@ -1641,7 +1596,7 @@ impl Machine {
                 Instr::Ld(w, rd, rs1, imm) => {
                     scycle = scycle.max(wait(&ready, &[rs1]));
                     let addr = regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                    match self.spec_load::<FAST>(addr, w, &store_buf) {
+                    match self.spec_load(addr, w, &store_buf) {
                         Some((value, latency)) => {
                             loads += 1;
                             regs[rd.index()] = value;
@@ -1664,7 +1619,7 @@ impl Machine {
                     // The line is still brought into the cache (RFO) —
                     // unless InvisiSpec keeps speculation invisible.
                     if !self.cfg.protect.invisispec {
-                        self.data_access::<FAST>(addr, true);
+                        self.data_access(addr, true);
                     }
                     stores += 1;
                 }
@@ -1706,7 +1661,7 @@ impl Machine {
                 }
                 Instr::Ret => {
                     let sp = regs[Reg::SP.index()];
-                    match self.spec_load::<FAST>(sp, Width::D, &store_buf) {
+                    match self.spec_load(sp, Width::D, &store_buf) {
                         Some((target, latency)) => {
                             regs[Reg::SP.index()] = sp.wrapping_add(8);
                             scycle += latency;
@@ -1728,7 +1683,7 @@ impl Machine {
                 }
                 Instr::Pop(rd) => {
                     let sp = regs[Reg::SP.index()];
-                    match self.spec_load::<FAST>(sp, Width::D, &store_buf) {
+                    match self.spec_load(sp, Width::D, &store_buf) {
                         Some((value, latency)) => {
                             regs[rd.index()] = value;
                             regs[Reg::SP.index()] = sp.wrapping_add(8);
@@ -1768,7 +1723,7 @@ impl Machine {
     /// Transient load: permission-checked (fault → `None`, suppressed),
     /// store-buffer forwarded, cache-filling — unless InvisiSpec routes
     /// it through the speculative buffer, leaving no cache footprint.
-    fn spec_load<const FAST: bool>(
+    fn spec_load(
         &mut self,
         addr: u64,
         width: Width,
@@ -1790,7 +1745,7 @@ impl Machine {
             return Some((value, result.latency));
         }
         // The microarchitectural side effect that makes Spectre work.
-        let result = self.data_access::<FAST>(addr, false);
+        let result = self.data_access(addr, false);
         Some((value, result.latency))
     }
 }

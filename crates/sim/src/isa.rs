@@ -76,6 +76,7 @@ impl Reg {
     ];
 
     /// Returns the register's index in `0..16`.
+    #[inline]
     pub fn index(self) -> usize {
         self as usize
     }
@@ -141,6 +142,7 @@ impl AluOp {
     ];
 
     /// Applies the operation to two 64-bit values.
+    #[inline]
     pub fn apply(self, lhs: u64, rhs: u64) -> u64 {
         match self {
             AluOp::Add => lhs.wrapping_add(rhs),
@@ -244,6 +246,7 @@ pub enum Width {
 
 impl Width {
     /// Number of bytes moved by an access of this width.
+    #[inline]
     pub fn bytes(self) -> usize {
         match self {
             Width::B => 1,

@@ -66,7 +66,7 @@ pub mod isa;
 pub mod mem;
 pub mod pmu;
 
-pub use config::{MachineConfig, ProtectConfig};
+pub use config::{ExecPath, Fast, MachineConfig, ProtectConfig, Reference};
 pub use cpu::{Machine, StepStatus};
 pub use error::{ExitReason, Fault, RunOutcome};
 pub use image::{Image, LoadedImage};

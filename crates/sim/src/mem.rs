@@ -8,6 +8,9 @@
 
 use std::cell::Cell;
 use std::fmt;
+use std::marker::PhantomData;
+
+use crate::config::{ExecPath, Fast};
 
 /// Page size used for the permission table, in bytes.
 pub const PAGE_SIZE: u64 = 4096;
@@ -86,30 +89,29 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// Flat guest memory with a page-permission table.
+/// Flat guest memory with a page-permission table, on the execution path
+/// `P` (see [`ExecPath`]).
 ///
 /// # Examples
 ///
 /// ```
 /// use cr_spectre_sim::mem::{Memory, Perms};
 ///
-/// let mut mem = Memory::new(64 * 1024);
+/// let mut mem: Memory = Memory::new(64 * 1024);
 /// mem.set_perms(0x1000, 0x1000, Perms::RW);
 /// mem.write_u64(0x1000, 0xdead_beef)?;
 /// assert_eq!(mem.read_u64(0x1000)?, 0xdead_beef);
 /// # Ok::<(), cr_spectre_sim::mem::MemFault>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct Memory {
+pub struct Memory<P: ExecPath = Fast> {
     bytes: Vec<u8>,
     page_perms: Vec<Perms>,
-    /// When set, single-page accesses revalidate against [`Memory::last_page`]
-    /// instead of walking the permission table. Disabled by the
-    /// `MachineConfig::fast_path` escape hatch.
-    fast_path: bool,
     /// Index of the last page that passed a permission check, one slot per
     /// [`AccessKind`] (`Read`, `Write`, `Fetch` in declaration order).
     /// `u64::MAX` marks an empty slot. Invalidated by [`Memory::set_perms`].
+    /// On the fast path, single-page accesses revalidate against it
+    /// instead of walking the permission table.
     last_page: [Cell<u64>; 3],
     /// Index of a page known to be writable *and not executable*: stores
     /// there can skip the self-modifying-code scan (no decoded instruction
@@ -120,35 +122,25 @@ pub struct Memory {
     /// `poke`, a store into an executable page, or a permission change).
     /// Consumers caching decoded instructions revalidate against this.
     code_epoch: u64,
+    path: PhantomData<P>,
 }
 
 /// Sentinel for an empty [`Memory::last_page`] slot.
 const NO_PAGE: u64 = u64::MAX;
 
-impl Memory {
+impl<P: ExecPath> Memory<P> {
     /// Creates a memory of `size` bytes (rounded up to a whole page), with
-    /// all pages initially inaccessible.
-    pub fn new(size: u64) -> Memory {
+    /// all pages initially inaccessible, on the path its type names.
+    pub fn new(size: u64) -> Memory<P> {
         let pages = size.div_ceil(PAGE_SIZE) as usize;
         Memory {
             bytes: vec![0; pages * PAGE_SIZE as usize],
             page_perms: vec![Perms::NONE; pages],
-            fast_path: true,
             last_page: [Cell::new(NO_PAGE), Cell::new(NO_PAGE), Cell::new(NO_PAGE)],
             nonx_write_page: Cell::new(NO_PAGE),
             code_epoch: 0,
+            path: PhantomData,
         }
-    }
-
-    /// Enables or disables the single-page permission cache. Checks always
-    /// fall back to the full page walk when disabled; results are identical
-    /// either way.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-        for slot in &self.last_page {
-            slot.set(NO_PAGE);
-        }
-        self.nonx_write_page.set(NO_PAGE);
     }
 
     /// Generation counter for code-bytes mutations: bumped on every `poke`,
@@ -209,7 +201,7 @@ impl Memory {
         // and hits the same page as the previous access of the same kind.
         // The cached index is only ever a page that passed the full check,
         // and `set_perms` invalidates it, so a hit needs no further work.
-        if self.fast_path
+        if P::FAST
             && addr / PAGE_SIZE == end / PAGE_SIZE
             && self.last_page[kind as usize].get() == addr / PAGE_SIZE
         {
@@ -238,7 +230,7 @@ impl Memory {
             }
             page_addr += PAGE_SIZE;
         }
-        if self.fast_path && addr / PAGE_SIZE == end / PAGE_SIZE {
+        if P::FAST && addr / PAGE_SIZE == end / PAGE_SIZE {
             self.last_page[kind as usize].set(addr / PAGE_SIZE);
         }
         Ok(())
@@ -272,7 +264,7 @@ impl Memory {
             // skip the scan; `set_perms` invalidates the proof.
             let end = addr + data.len() as u64 - 1;
             let page = addr / PAGE_SIZE;
-            if !(self.fast_path
+            if !(P::FAST
                 && page == end / PAGE_SIZE
                 && self.nonx_write_page.get() == page)
             {
@@ -286,7 +278,7 @@ impl Memory {
                     }
                     page_addr += PAGE_SIZE;
                 }
-                if self.fast_path && !any_x && page == end / PAGE_SIZE {
+                if P::FAST && !any_x && page == end / PAGE_SIZE {
                     self.nonx_write_page.set(page);
                 }
             }
@@ -441,20 +433,20 @@ mod tests {
 
     #[test]
     fn new_memory_is_inaccessible() {
-        let mem = Memory::new(PAGE_SIZE * 4);
+        let mem: Memory = Memory::new(PAGE_SIZE * 4);
         assert!(mem.read_u8(0).is_err());
         assert_eq!(mem.size(), PAGE_SIZE * 4);
     }
 
     #[test]
     fn size_rounds_up_to_page() {
-        let mem = Memory::new(PAGE_SIZE + 1);
+        let mem: Memory = Memory::new(PAGE_SIZE + 1);
         assert_eq!(mem.size(), PAGE_SIZE * 2);
     }
 
     #[test]
     fn rw_round_trip() {
-        let mut mem = Memory::new(PAGE_SIZE * 2);
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 2);
         mem.set_perms(0, PAGE_SIZE, Perms::RW);
         mem.write_u64(8, 0x0123_4567_89ab_cdef).unwrap();
         assert_eq!(mem.read_u64(8).unwrap(), 0x0123_4567_89ab_cdef);
@@ -464,7 +456,7 @@ mod tests {
 
     #[test]
     fn write_to_readonly_faults() {
-        let mut mem = Memory::new(PAGE_SIZE);
+        let mut mem: Memory = Memory::new(PAGE_SIZE);
         mem.set_perms(0, PAGE_SIZE, Perms::R);
         let err = mem.write_u8(0, 1).unwrap_err();
         assert_eq!(err.kind, AccessKind::Write);
@@ -473,7 +465,7 @@ mod tests {
 
     #[test]
     fn fetch_requires_execute() {
-        let mut mem = Memory::new(PAGE_SIZE * 2);
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 2);
         mem.set_perms(0, PAGE_SIZE, Perms::RW);
         mem.set_perms(PAGE_SIZE, PAGE_SIZE, Perms::RX);
         let mut buf = [0u8; 8];
@@ -487,7 +479,7 @@ mod tests {
 
     #[test]
     fn cross_page_access_checks_both_pages() {
-        let mut mem = Memory::new(PAGE_SIZE * 2);
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 2);
         mem.set_perms(0, PAGE_SIZE, Perms::RW);
         // Second page stays NONE; an 8-byte write straddling the boundary
         // must fault even though it starts on a writable page.
@@ -498,7 +490,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_faults() {
-        let mut mem = Memory::new(PAGE_SIZE);
+        let mut mem: Memory = Memory::new(PAGE_SIZE);
         mem.set_perms(0, PAGE_SIZE, Perms::RW);
         assert!(mem.read_u64(PAGE_SIZE - 4).is_err());
         assert!(mem.read_u8(u64::MAX).is_err());
@@ -506,7 +498,7 @@ mod tests {
 
     #[test]
     fn cstr_reading() {
-        let mut mem = Memory::new(PAGE_SIZE);
+        let mut mem: Memory = Memory::new(PAGE_SIZE);
         mem.set_perms(0, PAGE_SIZE, Perms::RW);
         mem.write(100, b"spectre\0junk").unwrap();
         assert_eq!(mem.read_cstr(100, 64).unwrap(), b"spectre");
@@ -516,15 +508,15 @@ mod tests {
 
     #[test]
     fn poke_peek_bypass_permissions() {
-        let mut mem = Memory::new(PAGE_SIZE);
+        let mut mem: Memory = Memory::new(PAGE_SIZE);
         mem.poke(0, &[1, 2, 3]);
         assert_eq!(mem.peek(0, 3), &[1, 2, 3]);
         assert!(mem.read_u8(0).is_err(), "architectural access still faults");
     }
 
     #[test]
-    fn fast_path_cache_is_invalidated_by_set_perms() {
-        let mut mem = Memory::new(PAGE_SIZE * 2);
+    fn permission_cache_is_invalidated_by_set_perms() {
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 2);
         mem.set_perms(0, PAGE_SIZE, Perms::RW);
         // Warm the per-kind cache on page 0.
         assert!(mem.read_u8(8).is_ok());
@@ -536,25 +528,31 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_disabled_matches_enabled() {
-        let build = |fast: bool| {
+    fn reference_memory_matches_fast_memory() {
+        fn build<P: ExecPath>() -> Memory<P> {
             let mut mem = Memory::new(PAGE_SIZE * 2);
-            mem.set_fast_path(fast);
             mem.set_perms(0, PAGE_SIZE, Perms::RW);
             mem
-        };
-        let mut fast = build(true);
-        let mut slow = build(false);
-        for addr in [0, 8, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE - 4, u64::MAX] {
-            assert_eq!(fast.read_u8(addr), slow.read_u8(addr), "read at {addr:#x}");
-            assert_eq!(fast.write_u8(addr, 7), slow.write_u8(addr, 7), "write at {addr:#x}");
-            assert_eq!(fast.read_u64(addr), slow.read_u64(addr), "read_u64 at {addr:#x}");
+        }
+        let mut fast = build::<Fast>();
+        let mut slow = build::<crate::config::Reference>();
+        // Each permission change lands on a permission cache the previous
+        // round warmed; revoking access must reach both paths alike.
+        for perms in [Perms::RW, Perms::R, Perms::NONE, Perms::RW] {
+            fast.set_perms(0, PAGE_SIZE, perms);
+            slow.set_perms(0, PAGE_SIZE, perms);
+            for addr in [0, 8, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE - 4, u64::MAX] {
+                let at = format!("{addr:#x} under {perms}");
+                assert_eq!(fast.read_u8(addr), slow.read_u8(addr), "read at {at}");
+                assert_eq!(fast.write_u8(addr, 7), slow.write_u8(addr, 7), "write at {at}");
+                assert_eq!(fast.read_u64(addr), slow.read_u64(addr), "read_u64 at {at}");
+            }
         }
     }
 
     #[test]
     fn code_epoch_tracks_code_mutations() {
-        let mut mem = Memory::new(PAGE_SIZE * 2);
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 2);
         mem.set_perms(0, PAGE_SIZE, Perms::RW);
         mem.set_perms(PAGE_SIZE, PAGE_SIZE, Perms::RWX);
         let e0 = mem.code_epoch();
@@ -576,7 +574,7 @@ mod tests {
 
     #[test]
     fn cstr_max_ending_exactly_at_page_boundary() {
-        let mut mem = Memory::new(PAGE_SIZE * 2);
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 2);
         // Page 0 readable, page 1 a guard page.
         mem.set_perms(0, PAGE_SIZE, Perms::RW);
         mem.write(PAGE_SIZE - 3, b"abc").unwrap();
@@ -593,7 +591,7 @@ mod tests {
 
     #[test]
     fn cstr_spans_readable_pages() {
-        let mut mem = Memory::new(PAGE_SIZE * 2);
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 2);
         mem.set_perms(0, PAGE_SIZE * 2, Perms::RW);
         mem.write(PAGE_SIZE - 2, b"spectre\0").unwrap();
         assert_eq!(mem.read_cstr(PAGE_SIZE - 2, 64).unwrap(), b"spectre");
@@ -604,7 +602,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "set_perms out of range")]
     fn set_perms_range_past_the_address_space_panics() {
-        let mut mem = Memory::new(PAGE_SIZE);
+        let mut mem: Memory = Memory::new(PAGE_SIZE);
         mem.set_perms(u64::MAX - 10, 20, Perms::RW);
     }
 }

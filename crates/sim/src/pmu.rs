@@ -152,6 +152,7 @@ impl HpcEvent {
     }
 
     /// The event's counter index in `0..56`.
+#[inline]
     pub fn index(self) -> usize {
         self as usize
     }

@@ -1,19 +1,20 @@
-//! The execution fast path must be invisible: the predecoded-instruction
-//! cache and the page-permission cache may never change a single
-//! architectural or microarchitectural outcome, and — the load-bearing
-//! case for CR-Spectre, whose ROP chain injects the Spectre binary into
-//! the host image at runtime — self-modifying code must always execute
-//! the *new* bytes, never a stale decode.
+//! The execution fast path must be invisible: a `Machine<Fast>` (decode
+//! cache, hit coalescers, batched counters, permission cache, MRU hint)
+//! and a `Machine<Reference>` built from the same configuration may never
+//! differ in a single architectural or microarchitectural outcome, and —
+//! the load-bearing case for CR-Spectre, whose ROP chain injects the
+//! Spectre binary into the host image at runtime — self-modifying code
+//! must always execute the *new* bytes, never a stale decode.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
-use cr_spectre_sim::config::MachineConfig;
+use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig, Reference};
 use cr_spectre_sim::cpu::{Machine, StepStatus};
-use cr_spectre_sim::error::{ExitReason, Fault};
+use cr_spectre_sim::error::{ExitReason, Fault, RunOutcome};
 use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
 use cr_spectre_sim::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
 use cr_spectre_sim::mem::{Perms, PAGE_SIZE};
-use cr_spectre_sim::pmu::HpcEvent;
+use cr_spectre_sim::pmu::{HpcEvent, PmuSnapshot};
 
 fn image_from(instrs: &[Instr]) -> Image {
     let bytes: Vec<u8> = instrs.iter().flat_map(|i| i.encode()).collect();
@@ -47,8 +48,8 @@ fn self_patching_program() -> Vec<Instr> {
 }
 
 /// A started machine (DEP off) about to run [`self_patching_program`].
-fn self_patching_machine(fast_path: bool) -> Machine {
-    let mut cfg = MachineConfig { fast_path, ..MachineConfig::default() };
+fn self_patching_machine<P: ExecPath>() -> Machine<P> {
+    let mut cfg = MachineConfig::default().with_path::<P>();
     cfg.protect.dep = false;
     let mut m = Machine::new(cfg);
     let li = m.load(&image_from(&self_patching_program())).unwrap();
@@ -57,8 +58,8 @@ fn self_patching_machine(fast_path: bool) -> Machine {
     m
 }
 
-fn run_self_patching(fast_path: bool) -> Machine {
-    let mut m = self_patching_machine(fast_path);
+fn run_self_patching<P: ExecPath>() -> Machine<P> {
+    let mut m = self_patching_machine::<P>();
     let out = m.run();
     assert!(out.exit.is_clean(), "self-patching run exits cleanly: {:?}", out.exit);
     m
@@ -66,7 +67,7 @@ fn run_self_patching(fast_path: bool) -> Machine {
 
 #[test]
 fn guest_store_into_own_text_executes_new_bytes() {
-    let m = run_self_patching(true);
+    let m = run_self_patching::<Fast>();
     assert_eq!(
         m.reg(Reg::R5),
         99,
@@ -76,8 +77,8 @@ fn guest_store_into_own_text_executes_new_bytes() {
 
 #[test]
 fn self_modifying_run_is_identical_with_fast_path_off() {
-    let mut fast = run_self_patching(true);
-    let mut slow = run_self_patching(false);
+    let mut fast = run_self_patching::<Fast>();
+    let mut slow = run_self_patching::<Reference>();
     assert_eq!(fast.reg(Reg::R5), slow.reg(Reg::R5));
     assert_eq!(fast.cycles(), slow.cycles(), "identical timing");
     assert_eq!(
@@ -126,9 +127,8 @@ fn host_poke_of_already_executed_address_is_served_fresh() {
 fn transient_execution_sees_poked_code() {
     // Speculation fetches through the same decode cache; a poke between
     // bursts must invalidate it there too.
-    let run = |fast_path: bool| {
-        let cfg = MachineConfig { fast_path, ..MachineConfig::default() };
-        let mut m = Machine::new(cfg);
+    fn run<P: ExecPath>() -> ((PmuSnapshot, bool), u64, bool) {
+        let mut m = Machine::new(MachineConfig::default().with_path::<P>());
         let probe = m.alloc(PAGE_SIZE, Perms::RW);
         let code = m.alloc(PAGE_SIZE, Perms::RW);
         let body: Vec<u8> = [Instr::Ld(Width::B, Reg::R9, Reg::R6, 0), Instr::Halt]
@@ -148,9 +148,9 @@ fn transient_execution_sees_poked_code() {
         let loads_after = m.pmu().count(HpcEvent::SpecLoads);
         let resident_after = m.caches().data_resident(probe);
         (first, loads_after, resident_after)
-    };
-    let fast = run(true);
-    let slow = run(false);
+    }
+    let fast = run::<Fast>();
+    let slow = run::<Reference>();
     assert_eq!(fast, slow, "transient fast path is invisible");
     let (_, loads_after, resident_after) = fast;
     assert_eq!(loads_after, 1, "the second burst must not replay the stale load");
@@ -161,9 +161,8 @@ fn transient_execution_sees_poked_code() {
 fn whole_workload_equivalence_fast_vs_slow() {
     // A branchy, memory-heavy guest with speculation: checksum a buffer
     // with a data-dependent branch in the loop.
-    let run = |fast_path: bool| {
-        let cfg = MachineConfig { fast_path, ..MachineConfig::default() };
-        let mut m = Machine::new(cfg);
+    fn run<P: ExecPath>() -> (RunOutcome, u64, PmuSnapshot) {
+        let mut m = Machine::new(MachineConfig::default().with_path::<P>());
         let buf = m.alloc(PAGE_SIZE, Perms::RW);
         let data: Vec<u8> = (0u32..512).map(|i| (i * 31 % 251) as u8).collect();
         m.mem_mut().poke(buf, &data);
@@ -189,9 +188,9 @@ fn whole_workload_equivalence_fast_vs_slow() {
         let out = m.run();
         assert!(out.exit.is_clean());
         (out, m.reg(Reg::R4), m.pmu().snapshot())
-    };
-    let fast = run(true);
-    let slow = run(false);
+    }
+    let fast = run::<Fast>();
+    let slow = run::<Reference>();
     assert_eq!(fast.0, slow.0, "identical run outcome (instructions, cycles, exit)");
     assert_eq!(fast.1, slow.1, "identical checksum");
     assert_eq!(fast.2, slow.2, "identical 56-counter PMU trace");
@@ -235,9 +234,8 @@ const MIX_BUF: u64 = 64 * 1024;
 
 /// A started machine about to run [`mix_program`] over a fresh
 /// [`MIX_BUF`]-byte buffer; returns the buffer's address too.
-fn mix_machine(fast_path: bool, iters: u32) -> (Machine, u64) {
-    let cfg = MachineConfig { fast_path, ..MachineConfig::default() };
-    let mut m = Machine::new(cfg);
+fn mix_machine<P: ExecPath>(iters: u32) -> (Machine<P>, u64) {
+    let mut m = Machine::new(MachineConfig::default().with_path::<P>());
     let li = m.load(&image_from(&mix_program(iters))).unwrap();
     let buf = m.alloc(MIX_BUF, Perms::RW);
     m.start(li.entry);
@@ -249,16 +247,16 @@ fn mix_machine(fast_path: bool, iters: u32) -> (Machine, u64) {
 fn call_ret_mix_over_64k_buffer_is_identical_fast_vs_slow() {
     const ITERS: u32 = 40_000;
     const BUF: u64 = MIX_BUF;
-    let run = |fast_path: bool| {
-        let (mut m, buf) = mix_machine(fast_path, ITERS);
+    fn run<P: ExecPath>() -> (RunOutcome, u64, u64, PmuSnapshot, u64) {
+        let (mut m, buf) = mix_machine::<P>(ITERS);
         let out = m.run();
         assert!(out.exit.is_clean(), "mix halts cleanly: {:?}", out.exit);
         let mut h = DefaultHasher::new();
         m.mem().peek(buf, BUF as usize).hash(&mut h);
         (out, m.reg(Reg::R11), m.reg(Reg::R3), m.pmu().snapshot(), h.finish())
-    };
-    let fast = run(true);
-    let slow = run(false);
+    }
+    let fast = run::<Fast>();
+    let slow = run::<Reference>();
     assert_eq!(fast.0, slow.0, "identical run outcome (instructions, cycles, exit)");
     assert_eq!((fast.1, fast.2), (slow.1, slow.2), "identical leaf-call count and loop index");
     assert_eq!(fast.3, slow.3, "identical 56-counter PMU trace");
@@ -271,12 +269,27 @@ fn call_ret_mix_over_64k_buffer_is_identical_fast_vs_slow() {
 }
 
 #[test]
+fn only_the_fast_path_has_a_decode_cache() {
+    // The loader's permission changes all precede the first fetch, so the
+    // 17 instructions decode once each, under one flush, and the 2000
+    // loop iterations run from the cache.
+    let (mut fast, _) = mix_machine::<Fast>(2_000);
+    fast.run();
+    assert_eq!(fast.decode_cache_stats(), (17, 1));
+    let (mut slow, _) = mix_machine::<Reference>(2_000);
+    slow.run();
+    assert_eq!(slow.decode_cache_stats(), (0, 0));
+    // A guest store into its own text drops the cache once more.
+    assert_eq!(run_self_patching::<Fast>().decode_cache_stats().1, 2);
+}
+
+#[test]
 fn reading_the_pmu_after_every_step_changes_nothing() {
     // Each read settles the fast path's batched counts; a settle that lost
     // or double-counted a batch, or disturbed the cache model, would show
     // up against the run that never reads.
     let run = |read_every_step: bool| {
-        let (mut m, _) = mix_machine(true, 500);
+        let (mut m, _) = mix_machine::<Fast>(500);
         while m.step() == StepStatus::Running {
             if read_every_step {
                 m.pmu();
@@ -290,8 +303,47 @@ fn reading_the_pmu_after_every_step_changes_nothing() {
     assert_eq!(run(true), run(false));
 }
 
+/// Nine instruction lines 4 KiB apart, so all in one L1i set: the first
+/// holds a leaf function that `main` (in another set) calls three times,
+/// and the other eight are a chain of jumps ending in `Halt`. The ninth
+/// line evicts the least recently used one, which is only the leaf's line
+/// if the fast path's batched hits on it reach the cache model in order.
+fn l1i_set_conflict_program() -> Vec<Instr> {
+    const SET_STRIDE: usize = 512; // instructions per 4 KiB
+    let b = INSTR_BYTES as i32;
+    let mut text = vec![Instr::Nop; 8 * SET_STRIDE + 1];
+    text[0] = Instr::Jmp(8 * b); // to main
+    text[1] = Instr::Alui(AluOp::Add, Reg::R11, Reg::R11, 1); // leaf
+    text[2] = Instr::Ret;
+    for (at, slot) in text.iter_mut().enumerate().take(11).skip(8) {
+        *slot = Instr::Call((1 - at as i32) * b); // main: three calls of the leaf
+    }
+    text[11] = Instr::Jmp((SET_STRIDE as i32 - 11) * b);
+    for line in 1..8 {
+        text[line * SET_STRIDE] = Instr::Jmp(SET_STRIDE as i32 * b);
+    }
+    text[8 * SET_STRIDE] = Instr::Halt;
+    text
+}
+
+#[test]
+fn l1i_set_conflicts_are_identical_on_both_paths() {
+    fn run<P: ExecPath>() -> (RunOutcome, u64, PmuSnapshot, u64) {
+        let mut m = Machine::new(MachineConfig::default().with_path::<P>());
+        let li = m.load(&image_from(&l1i_set_conflict_program())).unwrap();
+        m.start(li.entry);
+        let out = m.run();
+        assert!(out.exit.is_clean(), "{:?}", out.exit);
+        (out, m.reg(Reg::R11), m.pmu().snapshot(), m.caches().l1i().evictions())
+    }
+    let fast = run::<Fast>();
+    assert_eq!(fast, run::<Reference>());
+    assert_eq!(fast.1, 3, "the leaf ran three times");
+    assert!(fast.3 > 0, "the ninth line evicted one — the equivalence is not vacuous");
+}
+
 /// Everything a window sampler can observe of a machine between calls.
-fn observe(m: &mut Machine) -> (u64, Vec<u64>, u64, u64, cr_spectre_sim::pmu::PmuSnapshot) {
+fn observe<P: ExecPath>(m: &mut Machine<P>) -> (u64, Vec<u64>, u64, u64, PmuSnapshot) {
     let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
     (m.pc(), regs, m.cycles(), m.instructions(), m.pmu().snapshot())
 }
@@ -299,7 +351,11 @@ fn observe(m: &mut Machine) -> (u64, Vec<u64>, u64, u64, cr_spectre_sim::pmu::Pm
 /// Drives `window` (the `run_until` loop) and `oracle` (single steps
 /// while `cycles() < limit`) over the same ladder of cycle limits and
 /// asserts they agree after every window and on the final exit.
-fn assert_ladder_matches_steps(mut window: Machine, mut oracle: Machine, rung: u64) {
+fn assert_ladder_matches_steps<P: ExecPath>(
+    mut window: Machine<P>,
+    mut oracle: Machine<P>,
+    rung: u64,
+) {
     let mut limit = 0;
     let mut windows = 0;
     loop {
@@ -324,27 +380,30 @@ fn assert_ladder_matches_steps(mut window: Machine, mut oracle: Machine, rung: u
 
 #[test]
 fn run_until_ladder_matches_single_steps_on_self_patching_code() {
-    for fast_path in [true, false] {
+    fn check<P: ExecPath>() {
         // The program is short: a small rung still cuts it several times.
-        let (window, oracle) = (self_patching_machine(fast_path), self_patching_machine(fast_path));
-        assert_ladder_matches_steps(window, oracle, 7);
+        assert_ladder_matches_steps(self_patching_machine::<P>(), self_patching_machine::<P>(), 7);
     }
+    check::<Fast>();
+    check::<Reference>();
 }
 
 #[test]
 fn run_until_ladder_matches_single_steps_on_call_ret_mix() {
-    for fast_path in [true, false] {
-        let (window, _) = mix_machine(fast_path, 2_000);
-        let (oracle, _) = mix_machine(fast_path, 2_000);
+    fn check<P: ExecPath>() {
+        let (window, _) = mix_machine::<P>(2_000);
+        let (oracle, _) = mix_machine::<P>(2_000);
         assert_ladder_matches_steps(window, oracle, 997);
     }
+    check::<Fast>();
+    check::<Reference>();
 }
 
 #[test]
 fn run_until_edge_cases() {
-    for fast_path in [true, false] {
+    fn check<P: ExecPath>() {
         // A limit at or below the current cycle executes nothing.
-        let (mut m, _) = mix_machine(fast_path, 100);
+        let (mut m, _) = mix_machine::<P>(100);
         assert_eq!(m.run_until(500), None);
         let before = observe(&mut m);
         assert!(before.2 >= 500);
@@ -361,11 +420,44 @@ fn run_until_edge_cases() {
         assert_eq!(observe(&mut m), stopped, "a stopped machine stays put");
 
         // The instruction budget surfaces through `run_until` too.
-        let cfg = MachineConfig { fast_path, max_instructions: 1_000, ..MachineConfig::default() };
-        let mut m = Machine::new(cfg);
+        let cfg = MachineConfig { max_instructions: 1_000, ..MachineConfig::default() };
+        let mut m = Machine::new(cfg.with_path::<P>());
         let li = m.load(&image_from(&[Instr::Jmp(0)])).unwrap();
         m.start(li.entry);
         assert_eq!(m.run_until(u64::MAX), Some(ExitReason::Fault(Fault::MaxInstructions)));
         assert_eq!(m.instructions(), 1_000);
+    }
+    check::<Fast>();
+    check::<Reference>();
+}
+
+/// Everything `run_traced` leaves behind on one path: the trace, the
+/// registers, the cycle count and the full PMU snapshot.
+type TracedRun = (Vec<(u64, Instr)>, Vec<u64>, u64, PmuSnapshot);
+
+fn traced<P: ExecPath>(mut m: Machine<P>, limit: usize) -> TracedRun {
+    let trace = m.run_traced(limit);
+    let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
+    (trace, regs, m.cycles(), m.pmu().snapshot())
+}
+
+#[test]
+fn run_traced_is_identical_on_both_paths() {
+    // Self-patching code: the trace must show the patched instruction's
+    // new decode on the second pass, on both paths.
+    let fast = traced(self_patching_machine::<Fast>(), 1_000);
+    assert_eq!(fast, traced(self_patching_machine::<Reference>(), 1_000));
+    let patched: Vec<_> =
+        fast.0.iter().filter(|(_, i)| matches!(i, Instr::Ldi(Reg::R5, _))).collect();
+    assert_eq!(patched.len(), 2);
+    assert_eq!(patched[1].1, Instr::Ldi(Reg::R5, 99), "the trace shows the new bytes");
+    // The call/ret mix, cut by the limit mid-run and then run to the end.
+    for limit in [777, 100_000] {
+        let fast = traced(mix_machine::<Fast>(300).0, limit);
+        assert_eq!(fast, traced(mix_machine::<Reference>(300).0, limit), "limit {limit}");
+        let retired = fast.3.count(HpcEvent::Instructions);
+        assert_eq!(fast.0.len() as u64, retired, "one entry per retired instruction");
+        assert!(fast.0.len() == limit || fast.0.last().unwrap().1 == Instr::Halt, "limit {limit}");
+        assert!(fast.3.count(HpcEvent::Returns) > 0);
     }
 }

@@ -86,7 +86,7 @@ proptest! {
     /// they conflict by eviction.
     #[test]
     fn cache_line_granularity(addr in 0u64..(1 << 30)) {
-        let mut c = Cache::new(CacheConfig::l1d());
+        let mut c: Cache = Cache::new(CacheConfig::l1d());
         c.access(addr);
         let line = addr & !63;
         prop_assert!(c.probe(line));
@@ -98,7 +98,7 @@ proptest! {
     /// a repeat access is never slower.
     #[test]
     fn hierarchy_latency_monotone(addr in any::<u64>()) {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
         let first = h.access_data(addr);
         let second = h.access_data(addr);
         prop_assert!(second.latency <= first.latency);
@@ -109,7 +109,7 @@ proptest! {
     /// accessing gives the same miss the access would have had.
     #[test]
     fn probe_latency_is_pure(addr in any::<u64>()) {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
         let p1 = h.probe_data_latency(addr);
         let p2 = h.probe_data_latency(addr);
         prop_assert_eq!(p1, p2);
@@ -121,7 +121,7 @@ proptest! {
     /// Memory permissions are enforced for every page-aligned region.
     #[test]
     fn perms_partition_access(page in 0u64..8, kind in 0u8..3) {
-        let mut mem = Memory::new(PAGE_SIZE * 8);
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 8);
         let perms = match kind {
             0 => Perms::R,
             1 => Perms::RW,

@@ -8,7 +8,7 @@ use cr_spectre::campaign::{
 use cr_spectre::hid::detector::{Hid, HidKind, HidMode};
 use cr_spectre::hpc::features::FeatureSet;
 use cr_spectre::perturb::PerturbParams;
-use cr_spectre::sim::config::MachineConfig;
+use cr_spectre::sim::config::{MachineConfig, Reference};
 use cr_spectre::sim::cpu::Machine;
 use cr_spectre::sim::error::{ExitReason, Fault};
 use cr_spectre::sim::isa::Reg;
@@ -259,10 +259,17 @@ fn table1_overheads_are_finite_and_ipcs_positive() {
 /// on the fast path, so these pin fast ≡ reference at campaign scale.
 /// fig6, the slowest driver on this path, is left to
 /// `crates/core/tests/fastpath_equivalence.rs`.
-fn reference_smoke() -> CampaignConfig {
-    let mut cfg = CampaignConfig::smoke();
-    cfg.machine.fast_path = false;
-    cfg
+fn reference_smoke() -> CampaignConfig<Reference> {
+    let smoke = CampaignConfig::smoke();
+    CampaignConfig {
+        machine: smoke.machine.with_path(),
+        sample_interval: smoke.sample_interval,
+        samples_per_class: smoke.samples_per_class,
+        attempts: smoke.attempts,
+        noise_strength: smoke.noise_strength,
+        seed: smoke.seed,
+        threads: smoke.threads,
+    }
 }
 
 #[test]

@@ -89,7 +89,7 @@ proptest! {
     /// address and value.
     #[test]
     fn memory_round_trip(offset in 0u64..(PAGE_SIZE * 4 - 8), value in any::<u64>()) {
-        let mut mem = Memory::new(PAGE_SIZE * 4);
+        let mut mem: Memory = Memory::new(PAGE_SIZE * 4);
         mem.set_perms(0, PAGE_SIZE * 4, Perms::RW);
         mem.write_u64(offset, value).unwrap();
         prop_assert_eq!(mem.read_u64(offset).unwrap(), value);
@@ -99,7 +99,7 @@ proptest! {
     /// after flush, for any address.
     #[test]
     fn cache_access_flush_invariant(addr in any::<u64>()) {
-        let mut cache = Cache::new(CacheConfig::l1d());
+        let mut cache: Cache = Cache::new(CacheConfig::l1d());
         cache.access(addr);
         prop_assert!(cache.probe(addr));
         cache.flush(addr);

@@ -87,9 +87,19 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
                 if name == "hpc.profile" {
                     profile_spans += 1;
                     let fields = value.get("fields").expect("hpc.profile has fields");
-                    for key in ["instructions", "cycles", "wall_ms", "spec_instrs", "squashes"] {
+                    for key in [
+                        "instructions",
+                        "cycles",
+                        "wall_ms",
+                        "spec_instrs",
+                        "squashes",
+                        "decode_fills",
+                        "decode_flushes",
+                    ] {
                         assert!(fields.get(key).is_some(), "line {i}: no {key} field");
                     }
+                    let fills = fields.get("decode_fills").and_then(Value::as_f64);
+                    assert!(fills > Some(0.0), "line {i}: a profiled run fills the decode cache");
                 }
                 span_names.insert(name);
             }
@@ -130,6 +140,8 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
     for counter in [
         "sim.runs",
         "sim.instructions",
+        "sim.decode_fills",
+        "sim.decode_flushes",
         "hpc.trials",
         "par_map.jobs",
         "hid.fits",
