@@ -3,13 +3,10 @@
 //! The transmitter is the transient load `probe[byte * STRIDE]` inside the
 //! Spectre victim; the receiver times a reload of every probe slot with
 //! `RDTSC` and treats anything faster than [`CovertConfig::threshold`]
-//! cycles as a hit. This module holds the channel parameters, guest-code
-//! emitters shared by the Spectre variants, and host-side calibration and
-//! oracle-decoding utilities.
+//! cycles as a hit. This module holds the channel parameters and the
+//! guest-code emitters shared by the Spectre variants.
 
 use cr_spectre_asm::builder::Asm;
-use cr_spectre_sim::config::MachineConfig;
-use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::isa::{AluOp, BranchCond, Reg, Width};
 
 /// How the receiver resets probe lines between transmissions.
@@ -186,49 +183,11 @@ pub fn emit_probe_decode(asm: &mut Asm, cfg: &CovertConfig, probe_label: &str, t
     asm.label(done_label);
 }
 
-/// Measures the channel's hit/miss latency gap on a fresh machine with
-/// the given configuration: returns `(hit_cycles, miss_cycles)` as the
-/// guest's own `RDTSC` deltas. Used to validate/calibrate
-/// [`CovertConfig::threshold`].
-pub fn measure_latency_gap(config: &MachineConfig) -> (u64, u64) {
-    let mut asm = Asm::new();
-    asm.label("main");
-    asm.la(Reg::R1, "slot");
-    // Miss timing: flushed line.
-    asm.clflush(Reg::R1, 0);
-    asm.mfence();
-    asm.rdtsc(Reg::R2);
-    asm.ld(Width::B, Reg::R5, Reg::R1, 0);
-    asm.mfence();
-    asm.rdtsc(Reg::R3);
-    asm.alu(AluOp::Sub, Reg::R12, Reg::R3, Reg::R2); // miss delta
-    // Hit timing: now cached.
-    asm.rdtsc(Reg::R2);
-    asm.ld(Width::B, Reg::R5, Reg::R1, 0);
-    asm.mfence();
-    asm.rdtsc(Reg::R3);
-    asm.alu(AluOp::Sub, Reg::R13, Reg::R3, Reg::R2); // hit delta
-    asm.halt();
-    asm.data_label("slot");
-    asm.space(64);
-    let image = asm.build("calibrate").expect("assembles");
-    let mut machine = Machine::new(config.clone());
-    let loaded = machine.load(&image).expect("loads");
-    machine.start(loaded.entry);
-    let outcome = machine.run();
-    assert!(outcome.exit.is_clean(), "calibration run failed: {:?}", outcome.exit);
-    (machine.reg(Reg::R13), machine.reg(Reg::R12))
-}
-
-/// Picks a threshold halfway between the measured hit and miss times.
-pub fn calibrate_threshold(config: &MachineConfig) -> i32 {
-    let (hit, miss) = measure_latency_gap(config);
-    ((hit + miss) / 2) as i32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cr_spectre_sim::config::MachineConfig;
+    use cr_spectre_sim::cpu::Machine;
     use cr_spectre_sim::mem::Perms;
 
     /// Cache-state oracle: which probe slot is resident (inspects the
@@ -242,6 +201,45 @@ mod tests {
     /// Allocates a probe array on the machine heap.
     fn alloc_probe(machine: &mut Machine, cfg: &CovertConfig) -> u64 {
         machine.alloc(cfg.probe_bytes(), Perms::RW)
+    }
+
+    /// Measures the channel's hit/miss latency gap on a fresh machine with
+    /// the given configuration: returns `(hit_cycles, miss_cycles)` as the
+    /// guest's own `RDTSC` deltas.
+    fn measure_latency_gap(config: &MachineConfig) -> (u64, u64) {
+        let mut asm = Asm::new();
+        asm.label("main");
+        asm.la(Reg::R1, "slot");
+        // Miss timing: flushed line.
+        asm.clflush(Reg::R1, 0);
+        asm.mfence();
+        asm.rdtsc(Reg::R2);
+        asm.ld(Width::B, Reg::R5, Reg::R1, 0);
+        asm.mfence();
+        asm.rdtsc(Reg::R3);
+        asm.alu(AluOp::Sub, Reg::R12, Reg::R3, Reg::R2); // miss delta
+        // Hit timing: now cached.
+        asm.rdtsc(Reg::R2);
+        asm.ld(Width::B, Reg::R5, Reg::R1, 0);
+        asm.mfence();
+        asm.rdtsc(Reg::R3);
+        asm.alu(AluOp::Sub, Reg::R13, Reg::R3, Reg::R2); // hit delta
+        asm.halt();
+        asm.data_label("slot");
+        asm.space(64);
+        let image = asm.build("calibrate").expect("assembles");
+        let mut machine = Machine::new(config.clone());
+        let loaded = machine.load(&image).expect("loads");
+        machine.start(loaded.entry);
+        let outcome = machine.run();
+        assert!(outcome.exit.is_clean(), "calibration run failed: {:?}", outcome.exit);
+        (machine.reg(Reg::R13), machine.reg(Reg::R12))
+    }
+
+    /// Picks a threshold halfway between the measured hit and miss times.
+    fn calibrate_threshold(config: &MachineConfig) -> i32 {
+        let (hit, miss) = measure_latency_gap(config);
+        ((hit + miss) / 2) as i32
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * [`spectre`] — generates the speculative attack binary (v1 bounds-
 //!   check bypass and an RSB variant) as an injectable guest image;
-//! * [`covert`] — the flush+reload channel: parameters, guest emitters,
-//!   calibration;
+//! * [`covert`] — the flush+reload channel: parameters and guest
+//!   emitters;
 //! * [`perturb`] — Algorithm 2: the parameterized `clflush`/`mfence`
 //!   perturbation kernel and the defense-aware variant generator;
 //! * [`attack`] — one-call orchestration of the full Figure-1 chain

@@ -1,16 +1,14 @@
-//! Export of traces and datasets to CSV, for external plotting of the
-//! regenerated figures.
+//! Export of traces to CSV, for external plotting of the regenerated
+//! figures.
 
 use std::io::{self, Write};
 
 use cr_spectre_sim::pmu::HpcEvent;
 
-use crate::dataset::Dataset;
-use crate::features::FeatureSet;
 use crate::profiler::Trace;
 
-/// Writes a trace as CSV: header `cycle,<event>,...`, one row per
-/// sampling window, restricted to `features`.
+/// Writes a trace as CSV: header `cycle,<event>,...` over all 56
+/// events, one row per sampling window.
 ///
 /// The writer can be a `File`, a `Vec<u8>`, or anything else
 /// implementing [`Write`] (pass `&mut writer` to keep ownership).
@@ -18,15 +16,15 @@ use crate::profiler::Trace;
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn trace_to_csv<W: Write>(trace: &Trace, features: &FeatureSet, mut out: W) -> io::Result<()> {
+pub fn trace_to_csv_full<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
     write!(out, "cycle")?;
-    for event in features.events() {
+    for event in HpcEvent::all() {
         write!(out, ",{event}")?;
     }
     writeln!(out)?;
     for sample in &trace.samples {
         write!(out, "{}", sample.at_cycle)?;
-        for &event in features.events() {
+        for event in HpcEvent::all() {
             write!(out, ",{}", sample.count(event))?;
         }
         writeln!(out)?;
@@ -34,103 +32,9 @@ pub fn trace_to_csv<W: Write>(trace: &Trace, features: &FeatureSet, mut out: W) 
     Ok(())
 }
 
-/// Writes a full 56-event trace as CSV.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn trace_to_csv_full<W: Write>(trace: &Trace, out: W) -> io::Result<()> {
-    trace_to_csv(trace, &FeatureSet::all(), out)
-}
-
-/// Writes a labelled dataset as CSV: `label,f0,f1,...`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn dataset_to_csv<W: Write>(data: &Dataset, mut out: W) -> io::Result<()> {
-    let dim = data.x.first().map_or(0, Vec::len);
-    write!(out, "label")?;
-    for i in 0..dim {
-        write!(out, ",f{i}")?;
-    }
-    writeln!(out)?;
-    for (row, label) in data.x.iter().zip(&data.y) {
-        write!(out, "{label}")?;
-        for v in row {
-            write!(out, ",{v}")?;
-        }
-        writeln!(out)?;
-    }
-    Ok(())
-}
-
-/// Parses a dataset back from the CSV produced by [`dataset_to_csv`]
-/// (round-trip support for offline analysis pipelines).
-///
-/// # Errors
-///
-/// Returns an [`io::Error`] with kind `InvalidData` on malformed rows.
-pub fn dataset_from_csv(text: &str) -> io::Result<Dataset> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut lines = text.lines();
-    let _header = lines.next().ok_or_else(|| bad("empty csv"))?;
-    let mut data = Dataset::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut fields = line.split(',');
-        let label: u8 = fields
-            .next()
-            .ok_or_else(|| bad("missing label"))?
-            .parse()
-            .map_err(|_| bad("bad label"))?;
-        let row: Result<Vec<f64>, _> = fields.map(str::parse).collect();
-        let row = row.map_err(|_| bad("bad feature value"))?;
-        data.push_row(
-            row,
-            if label == 1 {
-                crate::dataset::Label::Attack
-            } else {
-                crate::dataset::Label::Benign
-            },
-        );
-    }
-    Ok(data)
-}
-
-/// The six headline events as a ready-made column list for external
-/// tools.
-pub fn paper_feature_names() -> Vec<String> {
-    HpcEvent::PAPER_FEATURES.iter().map(|e| e.to_string()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Label;
-
-    #[test]
-    fn dataset_csv_round_trip() {
-        let mut data = Dataset::new();
-        data.push_row(vec![1.5, 2.0], Label::Benign);
-        data.push_row(vec![-3.25, 4.0], Label::Attack);
-        let mut buf = Vec::new();
-        dataset_to_csv(&data, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("label,f0,f1\n"));
-        let parsed = dataset_from_csv(&text).unwrap();
-        assert_eq!(parsed.x, data.x);
-        assert_eq!(parsed.y, data.y);
-    }
-
-    #[test]
-    fn malformed_csv_is_rejected() {
-        assert!(dataset_from_csv("").is_err());
-        assert!(dataset_from_csv("label,f0\nx,1.0\n").is_err());
-        assert!(dataset_from_csv("label,f0\n1,notanumber\n").is_err());
-    }
 
     #[test]
     fn trace_csv_has_one_row_per_window() {
@@ -145,17 +49,9 @@ mod tests {
         machine.start(loaded.entry);
         let trace = crate::profiler::profile(&mut machine, "crc32", 4_000);
         let mut buf = Vec::new();
-        trace_to_csv(&trace, &FeatureSet::paper_default(), &mut buf).unwrap();
+        trace_to_csv_full(&trace, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), trace.len() + 1);
         assert!(text.starts_with("cycle,TotalCacheMiss,"));
-    }
-
-    #[test]
-    fn paper_feature_names_match() {
-        let names = paper_feature_names();
-        assert_eq!(names.len(), 6);
-        assert_eq!(names[0], "TotalCacheMiss");
-        assert_eq!(names[5], "Cycles");
     }
 }

@@ -116,11 +116,6 @@ impl<'a> Chain<'a> {
         &self.words
     }
 
-    /// Consumes the builder, yielding the stack words.
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
-    }
-
     /// Serializes the chain to little-endian bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.words.iter().flat_map(|w| w.to_le_bytes()).collect()

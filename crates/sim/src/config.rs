@@ -18,8 +18,8 @@ pub trait ExecPath: sealed::Sealed + Copy + std::fmt::Debug + Eq + Send + Sync +
     const FAST: bool;
 }
 
-/// The production path: decode cache, hit coalescers, batched counters,
-/// the permission cache, the MRU hint and shift/mask cache indexing.
+/// The production path: decode cache, the caches' hit batches, batched
+/// PMU counters, the permission cache and shift/mask cache indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fast;
 

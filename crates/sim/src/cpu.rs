@@ -219,150 +219,12 @@ pub struct Machine<P: ExecPath = Fast> {
     /// Portion of `retired` already mirrored into
     /// [`HpcEvent::Instructions`].
     instrs_flushed: u64,
-    /// Hit coalescer for instruction fetches (tracks a few hot L1i
-    /// lines; see [`FetchCoalescer`]). Batched hits are applied via
-    /// [`Machine::apply_pending_ifetches`] before anything can observe
-    /// or disturb L1i state.
-    icoal: FetchCoalescer,
-    /// Hit coalescer for data accesses — the L1d twin of `icoal`,
-    /// applied via [`Machine::apply_pending_dfetches`]. Each batched hit
-    /// is worth `L1dAccess` + `L1dHit` + `TotalCacheAccess` in the PMU
-    /// (instruction hits are `L1iAccess` + `L1iHit`).
-    dcoal: FetchCoalescer,
-    /// The L1d hit latency (a coalesced hit's access result).
-    l1d_hit_latency: u64,
-}
-
-/// Lines tracked per [`FetchCoalescer`]: enough for a hot loop spanning
-/// a few instruction lines plus its working-set data lines.
-const COALESCE_WAYS: usize = 4;
-
-/// Coalesces cache hits on a small set of hot lines.
-///
-/// A line enters the table when it is *proven resident* (a real model
-/// access just touched it, or a read-only probe found it). From then on,
-/// accesses to tracked lines only bump counters here — no cache-model
-/// work at all. That is sound because while a line is tracked only hits
-/// happen (any potential miss, flush or hand-out of the caches untracks
-/// every line first), and hits never evict, so tracked lines stay
-/// resident. [`Machine::settle`] applies the batch without untracking.
-///
-/// Bit-exact replay: the model's final state after `n` interleaved hits
-/// is `tick += n`, `hits += n`, and each line's LRU stamp equal to the
-/// tick of its *last* hit. Recording a per-line `last_seq` (position in
-/// the batch) reproduces exactly that via [`Cache::bulk_batch`].
-#[derive(Debug, Clone)]
-struct FetchCoalescer {
-    /// Tracked line addresses; `u64::MAX` = empty slot.
-    lines: [u64; COALESCE_WAYS],
-    /// Batched hit count per tracked line.
-    counts: [u64; COALESCE_WAYS],
-    /// Batch sequence number of each line's most recent hit.
-    last_seq: [u64; COALESCE_WAYS],
-    /// Slot of the most recent hit — checked first, so a run of
-    /// accesses to one line costs a single compare.
-    mru: usize,
-    /// Total batched hits (== the running sequence number).
-    pending: u64,
-    /// `!(line_size - 1)`, precomputed at construction.
-    line_mask: u64,
-}
-
-impl FetchCoalescer {
-    fn new(line_size: u64) -> FetchCoalescer {
-        FetchCoalescer {
-            lines: [u64::MAX; COALESCE_WAYS],
-            counts: [0; COALESCE_WAYS],
-            last_seq: [0; COALESCE_WAYS],
-            mru: 0,
-            pending: 0,
-            line_mask: !(line_size - 1),
-        }
-    }
-
-    /// Records a hit on `line` if it is tracked. The hot path: one
-    /// compare against the MRU slot (same-line runs), falling back to a
-    /// scan of the other [`COALESCE_WAYS`] slots.
-    #[inline(always)]
-    fn note(&mut self, line: u64) -> bool {
-        let m = self.mru;
-        if self.lines[m] == line {
-            self.pending += 1;
-            let seq = self.pending;
-            self.counts[m] += 1;
-            self.last_seq[m] = seq;
-            return true;
-        }
-        self.note_scan(line)
-    }
-
-    /// The non-MRU half of [`FetchCoalescer::note`].
-    fn note_scan(&mut self, line: u64) -> bool {
-        for i in 0..COALESCE_WAYS {
-            if self.lines[i] == line {
-                self.pending += 1;
-                let seq = self.pending;
-                self.counts[i] += 1;
-                self.last_seq[i] = seq;
-                self.mru = i;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Starts tracking `line`, counting this access as a batched hit.
-    /// The caller must have proven the line resident and must only call
-    /// this with a free slot available (`free_slot`).
-    #[inline]
-    fn insert_hit(&mut self, slot: usize, line: u64) {
-        self.pending += 1;
-        let seq = self.pending;
-        self.lines[slot] = line;
-        self.counts[slot] = 1;
-        self.last_seq[slot] = seq;
-        self.mru = slot;
-    }
-
-    /// Starts tracking `line` with no batched hits — used right after a
-    /// real model access already counted the current access.
-    #[inline]
-    fn insert_seeded(&mut self, slot: usize, line: u64) {
-        self.lines[slot] = line;
-        self.counts[slot] = 0;
-        self.last_seq[slot] = 0;
-        self.mru = slot;
-    }
-
-    /// An empty slot, if any.
-    #[inline]
-    fn free_slot(&self) -> Option<usize> {
-        (0..COALESCE_WAYS).find(|&i| self.lines[i] == u64::MAX)
-    }
-
-    /// Takes the batch: returns `(entries, n, total)` where the first
-    /// `n` of `entries` hold `(line, last_seq)` for every line with
-    /// batched hits. The lines stay tracked, with an empty batch.
-    fn take(&mut self) -> ([(u64, u64); COALESCE_WAYS], usize, u64) {
-        let total = std::mem::take(&mut self.pending);
-        let mut entries = [(0u64, 0u64); COALESCE_WAYS];
-        let mut n = 0;
-        for i in 0..COALESCE_WAYS {
-            if self.lines[i] != u64::MAX && self.counts[i] > 0 {
-                entries[n] = (self.lines[i], self.last_seq[i]);
-                n += 1;
-            }
-        }
-        self.counts = [0; COALESCE_WAYS];
-        self.last_seq = [0; COALESCE_WAYS];
-        (entries, n, total)
-    }
-
-    /// Stops tracking every line (the batch must have been taken).
-    fn untrack(&mut self) {
-        self.lines = [u64::MAX; COALESCE_WAYS];
-        self.mru = 0;
-    }
+    /// Fetches that hit the L1i since the last settle, each worth
+    /// `L1iAccess` + `L1iHit` (one counter, not two, on the hot path).
+    l1i_hits: u64,
+    /// Loads and stores that hit the L1d since the last settle, each
+    /// worth `L1dAccess` + `L1dHit` + `TotalCacheAccess`.
+    l1d_hits: u64,
 }
 
 impl<P: ExecPath> Machine<P> {
@@ -409,9 +271,8 @@ impl<P: ExecPath> Machine<P> {
             dcache: DecodeCache::new(),
             cycles_flushed: 0,
             instrs_flushed: 0,
-            icoal: FetchCoalescer::new(cfg.caches.l1i.line_size),
-            dcoal: FetchCoalescer::new(cfg.caches.l1d.line_size),
-            l1d_hit_latency: cfg.caches.l1d.hit_latency,
+            l1i_hits: 0,
+            l1d_hits: 0,
             mem,
             cfg,
         }
@@ -591,30 +452,25 @@ impl<P: ExecPath> Machine<P> {
 
     /// The performance-counter bank.
     ///
-    /// This is the only way to read the bank, and it settles the fast
-    /// path's batched counters first: coalesced cache hits, the
-    /// cycle/instruction mirrors and the eviction mirror. A sampler
-    /// reading between steps (the HPC profiler) therefore sees exact
-    /// totals, identical to the reference path's per-step mirroring, and
-    /// reading changes nothing the machine later does.
+    /// This is the only way to read the bank, and it settles the batched
+    /// counters first: the L1 hit, cycle, instruction and eviction
+    /// mirrors. A sampler reading between steps (the HPC profiler)
+    /// therefore sees exact totals, identical to the reference path's
+    /// per-step settle, and reading changes nothing the machine later
+    /// does.
     pub fn pmu(&mut self) -> &Pmu {
         self.settle();
         &self.pmu
     }
 
-    /// The cache hierarchy (inspection).
-    ///
-    /// Residency is always exact. Hit and LRU bookkeeping is as of the
-    /// last settle: the fast path batches hits on a few hot lines until
-    /// [`Machine::pmu`], [`Machine::caches_mut`], a miss on that side, a
-    /// line flush or the machine stopping applies them.
+    /// The cache hierarchy (inspection). Residency, LRU order and every
+    /// counter are exact at any time.
     pub fn caches(&self) -> &CacheHierarchy<P> {
         &self.caches
     }
 
     /// The cache hierarchy (mutation — e.g. priming experiments).
     pub fn caches_mut(&mut self) -> &mut CacheHierarchy<P> {
-        self.untrack_lines();
         &mut self.caches
     }
 
@@ -788,7 +644,7 @@ impl<P: ExecPath> Machine<P> {
     /// On the fast path, batched counters are settled when the PMU is
     /// read ([`Machine::pmu`]), so samplers reading it between steps
     /// observe exact totals without the hot loop paying a per-step mirror
-    /// cost. The reference path mirrors every counter every step.
+    /// cost. The reference path settles after every step.
     #[inline(never)]
     pub fn step(&mut self) -> StepStatus {
         if self.stopped.is_none() {
@@ -810,7 +666,7 @@ impl<P: ExecPath> Machine<P> {
         }
         let result = self.step_inner();
         if !P::FAST {
-            self.sync_eviction_counter();
+            self.settle();
         }
         result
     }
@@ -823,10 +679,6 @@ impl<P: ExecPath> Machine<P> {
             Err(fail) => return Err(self.fetch_fault(pc, fail)),
         };
         self.retired += 1;
-        if !P::FAST {
-            self.pmu.incr(HpcEvent::Instructions);
-            self.instrs_flushed = self.retired;
-        }
         self.exec(pc, instr)
     }
 
@@ -859,8 +711,8 @@ impl<P: ExecPath> Machine<P> {
             let slot = DecodeCache::slot(pc);
             if self.dcache.tags[slot] == pc && self.dcache.epoch == self.mem.code_epoch() {
                 let instr = self.dcache.instrs[slot];
-                if mode != FetchMode::Peek && !self.icoal.note(pc & self.icoal.line_mask) {
-                    self.count_untracked_fetch(pc, mode);
+                if mode != FetchMode::Peek {
+                    self.icache_access(pc, mode);
                 }
                 return Ok(instr);
             }
@@ -880,7 +732,7 @@ impl<P: ExecPath> Machine<P> {
         let mut bytes = [0u8; INSTR_BYTES];
         self.mem.fetch(pc, &mut bytes).map_err(FetchFail::Mem)?;
         if mode != FetchMode::Peek {
-            self.count_instr_fetch(pc, mode);
+            self.icache_access(pc, mode);
         }
         let instr = Instr::decode(&bytes).map_err(|_| FetchFail::Decode)?;
         if P::FAST {
@@ -892,60 +744,16 @@ impl<P: ExecPath> Machine<P> {
         Ok(instr)
     }
 
-    /// Instruction-cache access for a fetch at `pc`.
-    ///
-    /// Fast path: fetches on a line the coalescer tracks are L1i hits by
-    /// construction (tracked lines stay resident — only hits happen
-    /// between batch applications, and hits never evict), so they bypass
-    /// the cache model entirely and coalesce into deferred bulk-hits.
-    /// Other fetches go to [`Machine::count_untracked_fetch`].
-    ///
-    /// Reference path: a full cache-model access and immediate PMU
-    /// increments per fetch.
+    /// The L1i access for a fetch at `pc`. A hit is counted for the next
+    /// settle; a miss is counted in the PMU at once, and an architectural
+    /// fetch pays its latency at once too.
     #[inline(always)]
-    fn count_instr_fetch(&mut self, pc: u64, mode: FetchMode) {
-        if P::FAST {
-            // One counter bump covers the model hit and both PMU
-            // events; the split happens when the batch is applied.
-            if !self.icoal.note(pc & self.icoal.line_mask) {
-                self.count_untracked_fetch(pc, mode);
-            }
-        } else {
-            self.icache_access(pc, mode);
-        }
-    }
-
-    /// Fast-path fetch on a line the coalescer does not track. A resident
-    /// line joins the table via a read-only probe; a genuine miss applies
-    /// the batch, untracks its lines, runs the real access and counts it
-    /// in the PMU directly, and (for architectural fetches) pays the miss
-    /// latency immediately since it orders the rest of the step.
-    fn count_untracked_fetch(&mut self, pc: u64, mode: FetchMode) {
-        let line = pc & self.icoal.line_mask;
-        let mut slot = self.icoal.free_slot();
-        if slot.is_none() {
-            self.apply_pending_ifetches();
-            self.icoal.untrack();
-            slot = Some(0);
-        }
-        if self.caches.l1i.probe(line) {
-            self.icoal.insert_hit(slot.expect("slot freed above"), line);
-            return;
-        }
-        self.apply_pending_ifetches();
-        self.icoal.untrack();
-        self.icoal.insert_seeded(0, line);
-        self.icache_access(pc, mode);
-    }
-
-    /// A full L1i model access for a fetch at `pc`, counted in the PMU at
-    /// once; an architectural fetch pays the miss latency at once too.
     fn icache_access(&mut self, pc: u64, mode: FetchMode) {
         let fetch = self.caches.access_instr(pc);
-        self.pmu.incr(HpcEvent::L1iAccess);
         if fetch.l1_hit {
-            self.pmu.incr(HpcEvent::L1iHit);
+            self.l1i_hits += 1;
         } else {
+            self.pmu.incr(HpcEvent::L1iAccess);
             self.pmu.incr(HpcEvent::L1iMiss);
             if mode == FetchMode::Step {
                 self.tick(fetch.latency);
@@ -953,47 +761,17 @@ impl<P: ExecPath> Machine<P> {
         }
     }
 
-    /// Applies the coalesced fetch hits to the L1i model and the PMU. The
-    /// lines stay tracked: hits never change residency. Anything that
-    /// may change residency (a miss, a line flush, handing out
-    /// `&mut CacheHierarchy`, the machine stopping) also untracks them.
-    fn apply_pending_ifetches(&mut self) {
-        let (entries, n, total) = self.icoal.take();
-        if total > 0 {
-            self.caches.l1i.bulk_batch(&entries[..n], total);
-            self.pmu.add(HpcEvent::L1iAccess, total);
-            self.pmu.add(HpcEvent::L1iHit, total);
-        }
-    }
-
-    /// Applies the coalesced data hits to the L1d model and the PMU — the
-    /// data-side counterpart of [`Machine::apply_pending_ifetches`].
-    fn apply_pending_dfetches(&mut self) {
-        let (entries, n, total) = self.dcoal.take();
-        if total > 0 {
-            self.caches.l1d.bulk_batch(&entries[..n], total);
-            self.pmu.add(HpcEvent::L1dAccess, total);
-            self.pmu.add(HpcEvent::L1dHit, total);
-            self.pmu.add(HpcEvent::TotalCacheAccess, total);
-        }
-    }
-
-    /// Applies both batches and untracks every coalesced line, before
-    /// anything that may change residency.
-    fn untrack_lines(&mut self) {
-        self.apply_pending_ifetches();
-        self.apply_pending_dfetches();
-        self.icoal.untrack();
-        self.dcoal.untrack();
-    }
-
-    /// The one settle point for the fast path's batched counters, run by
-    /// [`Machine::pmu`]: applies both coalescers' pending hits (keeping
-    /// their lines tracked), then mirrors the cycle, instruction and
-    /// eviction deltas.
+    /// The one settle point for the batched counters, run by
+    /// [`Machine::pmu`] (and after every step on the reference path):
+    /// mirrors the L1 hit, cycle, instruction and eviction deltas.
     fn settle(&mut self) {
-        self.apply_pending_ifetches();
-        self.apply_pending_dfetches();
+        let fetch_hits = std::mem::take(&mut self.l1i_hits);
+        self.pmu.add(HpcEvent::L1iAccess, fetch_hits);
+        self.pmu.add(HpcEvent::L1iHit, fetch_hits);
+        let data_hits = std::mem::take(&mut self.l1d_hits);
+        self.pmu.add(HpcEvent::L1dAccess, data_hits);
+        self.pmu.add(HpcEvent::L1dHit, data_hits);
+        self.pmu.add(HpcEvent::TotalCacheAccess, data_hits);
         self.pmu.add(HpcEvent::Cycles, self.cycle - self.cycles_flushed);
         self.cycles_flushed = self.cycle;
         self.pmu.add(HpcEvent::Instructions, self.retired - self.instrs_flushed);
@@ -1010,7 +788,6 @@ impl<P: ExecPath> Machine<P> {
     /// Records why the machine stopped; the returned token is the `Err`
     /// of every step helper.
     fn stop(&mut self, exit: ExitReason) -> Stopped {
-        self.untrack_lines();
         self.stopped = Some(exit);
         Stopped
     }
@@ -1026,16 +803,11 @@ impl<P: ExecPath> Machine<P> {
         self.stop_fault(fault)
     }
 
-    /// Advances time. On the fast path the [`HpcEvent::Cycles`] mirror is
-    /// updated by [`Machine::settle`] when the PMU is next read; the
-    /// reference path mirrors immediately.
+    /// Advances time; [`Machine::settle`] mirrors it into
+    /// [`HpcEvent::Cycles`].
     #[inline(always)]
     fn tick(&mut self, n: u64) {
         self.cycle += n;
-        if !P::FAST {
-            self.pmu.add(HpcEvent::Cycles, n);
-            self.cycles_flushed = self.cycle;
-        }
     }
 
     /// Stalls until every register in `rs` holds a ready value.
@@ -1055,74 +827,38 @@ impl<P: ExecPath> Machine<P> {
         ready.max(self.cycle) + BRANCH_RESOLVE_EXTRA
     }
 
+    /// Counts an L1d access: a hit for the next settle, a miss in the PMU
+    /// at once.
+    #[inline(always)]
     fn count_data_access(&mut self, result: crate::cache::AccessResult, write: bool) {
+        if result.l1_hit {
+            self.l1d_hits += 1;
+            return;
+        }
         let pmu = &mut self.pmu;
         pmu.incr(HpcEvent::L1dAccess);
         pmu.incr(HpcEvent::TotalCacheAccess);
-        if result.l1_hit {
-            pmu.incr(HpcEvent::L1dHit);
+        pmu.incr(HpcEvent::L1dMiss);
+        pmu.incr(HpcEvent::TotalCacheMiss);
+        pmu.incr(HpcEvent::L2Access);
+        if result.l2_hit {
+            pmu.incr(HpcEvent::L2Hit);
         } else {
-            pmu.incr(HpcEvent::L1dMiss);
-            pmu.incr(HpcEvent::TotalCacheMiss);
-            pmu.incr(HpcEvent::L2Access);
-            if result.l2_hit {
-                pmu.incr(HpcEvent::L2Hit);
+            pmu.incr(HpcEvent::L2Miss);
+            if write {
+                pmu.incr(HpcEvent::MemWrites);
             } else {
-                pmu.incr(HpcEvent::L2Miss);
-                if write {
-                    pmu.incr(HpcEvent::MemWrites);
-                } else {
-                    pmu.incr(HpcEvent::MemReads);
-                }
+                pmu.incr(HpcEvent::MemReads);
             }
         }
     }
 
-    /// Data-cache access for a load or store at `addr` (the data-side
-    /// counterpart of [`Machine::count_instr_fetch`]).
-    ///
-    /// Fast path: accesses to a line the coalescer tracks are L1d hits
-    /// by construction (tracked lines stay resident until the batch is
-    /// applied), so they coalesce into deferred bulk-hits with the
-    /// model's constant L1d hit latency. An untracked-but-resident line
-    /// joins the table via a read-only probe; a genuine miss applies the
-    /// batch and runs the real access.
-    ///
-    /// Reference path: a full cache-model access and immediate PMU
-    /// increments per access.
+    /// The L1d access for a load or store at `addr`, counted.
     #[inline(always)]
     fn data_access(&mut self, addr: u64, write: bool) -> crate::cache::AccessResult {
-        if P::FAST {
-            let hit = crate::cache::AccessResult {
-                latency: self.l1d_hit_latency,
-                l1_hit: true,
-                l2_hit: false,
-            };
-            let line = addr & self.dcoal.line_mask;
-            if self.dcoal.note(line) {
-                return hit;
-            }
-            let mut slot = self.dcoal.free_slot();
-            if slot.is_none() {
-                self.apply_pending_dfetches();
-                self.dcoal.untrack();
-                slot = Some(0);
-            }
-            if self.caches.l1d.probe(line) {
-                self.dcoal.insert_hit(slot.expect("slot freed above"), line);
-                return hit;
-            }
-            self.apply_pending_dfetches();
-            self.dcoal.untrack();
-            let result = self.caches.access_data(addr);
-            self.dcoal.insert_seeded(0, line);
-            self.count_data_access(result, write);
-            result
-        } else {
-            let result = self.caches.access_data(addr);
-            self.count_data_access(result, write);
-            result
-        }
+        let result = self.caches.access_data(addr);
+        self.count_data_access(result, write);
+        result
     }
 
     #[inline(always)]
@@ -1396,7 +1132,6 @@ impl<P: ExecPath> Machine<P> {
                 }
                 self.wait_ready(&[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                self.untrack_lines();
                 self.caches.flush_line(addr);
                 self.pmu.incr(HpcEvent::Flushes);
                 self.tick(4);
@@ -1702,7 +1437,6 @@ impl<P: ExecPath> Machine<P> {
                     scycle = scycle.max(wait(&ready, &[rs1]));
                     // Flushes are microarchitectural: they persist.
                     let addr = regs[rs1.index()].wrapping_add(imm as i64 as u64);
-                    self.untrack_lines();
                     self.caches.flush_line(addr);
                 }
             }

@@ -252,11 +252,6 @@ impl PmuSnapshot {
         self.counts[event.index()]
     }
 
-    /// All counter values in event-index order.
-    pub fn as_array(&self) -> &[u64; HpcEvent::COUNT] {
-        &self.counts
-    }
-
     /// Instructions-per-cycle over this snapshot (0 when no cycles).
     pub fn ipc(&self) -> f64 {
         let cycles = self.count(HpcEvent::Cycles);

@@ -1,7 +1,8 @@
 //! The execution fast path must be invisible: a `Machine<Fast>` (decode
-//! cache, hit coalescers, batched counters, permission cache, MRU hint)
-//! and a `Machine<Reference>` built from the same configuration may never
-//! differ in a single architectural or microarchitectural outcome, and —
+//! cache, the caches' hit batches, batched PMU counters, permission
+//! cache) and a `Machine<Reference>` built from the same configuration
+//! may never differ in a single architectural or microarchitectural
+//! outcome — the cache counters included, read mid-run — and —
 //! the load-bearing case for CR-Spectre, whose ROP chain injects the
 //! Spectre binary into the host image at runtime — self-modifying code
 //! must always execute the *new* bytes, never a stale decode.
@@ -431,14 +432,21 @@ fn run_until_edge_cases() {
     check::<Reference>();
 }
 
+/// Each cache level's `(hits, misses, evictions)`, L1d, L1i, L2.
+type CacheCounts = [(u64, u64, u64); 3];
+
 /// Everything `run_traced` leaves behind on one path: the trace, the
-/// registers, the cycle count and the full PMU snapshot.
-type TracedRun = (Vec<(u64, Instr)>, Vec<u64>, u64, PmuSnapshot);
+/// registers, the cycle count, the cache counters (read before the PMU,
+/// so before anything settles) and the full PMU snapshot.
+type TracedRun = (Vec<(u64, Instr)>, Vec<u64>, u64, CacheCounts, PmuSnapshot);
 
 fn traced<P: ExecPath>(mut m: Machine<P>, limit: usize) -> TracedRun {
     let trace = m.run_traced(limit);
     let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
-    (trace, regs, m.cycles(), m.pmu().snapshot())
+    let caches = m.caches();
+    let levels = [caches.l1d(), caches.l1i(), caches.l2()]
+        .map(|c| (c.hits(), c.misses(), c.evictions()));
+    (trace, regs, m.cycles(), levels, m.pmu().snapshot())
 }
 
 #[test]
@@ -455,9 +463,9 @@ fn run_traced_is_identical_on_both_paths() {
     for limit in [777, 100_000] {
         let fast = traced(mix_machine::<Fast>(300).0, limit);
         assert_eq!(fast, traced(mix_machine::<Reference>(300).0, limit), "limit {limit}");
-        let retired = fast.3.count(HpcEvent::Instructions);
+        let retired = fast.4.count(HpcEvent::Instructions);
         assert_eq!(fast.0.len() as u64, retired, "one entry per retired instruction");
         assert!(fast.0.len() == limit || fast.0.last().unwrap().1 == Instr::Halt, "limit {limit}");
-        assert!(fast.3.count(HpcEvent::Returns) > 0);
+        assert!(fast.4.count(HpcEvent::Returns) > 0);
     }
 }

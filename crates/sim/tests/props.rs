@@ -3,15 +3,57 @@
 use proptest::prelude::*;
 
 use cr_spectre_sim::branch::{Counter, PatternHistoryTable, ReturnStackBuffer};
-use cr_spectre_sim::cache::{Cache, CacheConfig, CacheHierarchy, HierarchyConfig};
-use cr_spectre_sim::config::MachineConfig;
+use cr_spectre_sim::cache::{Cache, CacheConfig, CacheHierarchy, HierarchyConfig, Lookup};
+use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig, Reference};
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
 use cr_spectre_sim::isa::{AluOp, Instr, Reg};
 use cr_spectre_sim::mem::{Memory, Perms, PAGE_SIZE};
 use cr_spectre_sim::pmu::{HpcEvent, Pmu};
 
+/// Everything one cache operation of a random stream shows: the lookup
+/// or probe result, then the hit, miss and eviction counts.
+type CacheStep = (Option<Lookup>, Option<bool>, u64, u64, u64);
+
+/// Runs a stream of `(kind, line, offset)` operations — mostly accesses,
+/// with probes, line flushes and whole-cache flushes — over a pool of
+/// lines from `base` on a 2-set, 4-way cache, so LRU picks its victims
+/// among lines the fast path has batched hits on.
+fn cache_stream<P: ExecPath>(ops: &[(u8, u64, u64)], line_size: u64, base: u64) -> Vec<CacheStep> {
+    let mut c = Cache::<P>::new(CacheConfig { sets: 2, ways: 4, line_size, hit_latency: 1 });
+    ops.iter()
+        .map(|&(kind, line, offset)| {
+            let addr = base.wrapping_add(line * line_size + offset % line_size);
+            let (lookup, probe) = match kind {
+                0..=10 => (Some(c.access(addr)), None),
+                11 | 12 => (None, Some(c.probe(addr))),
+                13 | 14 => {
+                    c.flush(addr);
+                    (None, None)
+                }
+                _ => {
+                    c.flush_all();
+                    (None, None)
+                }
+            };
+            (lookup, probe, c.hits(), c.misses(), c.evictions())
+        })
+        .collect()
+}
+
 proptest! {
+    /// `Cache<Fast>` (batched hits) and `Cache<Reference>` agree on every
+    /// lookup, probe and counter along any stream over a small line pool,
+    /// with 64-byte lines and with 1-byte lines up to the top address.
+    #[test]
+    fn fast_cache_matches_reference_on_random_streams(
+        ops in proptest::collection::vec((0u8..16, 0u64..12, 0u64..64), 1..300)
+    ) {
+        prop_assert_eq!(cache_stream::<Fast>(&ops, 64, 0), cache_stream::<Reference>(&ops, 64, 0));
+        let top = u64::MAX - 11;
+        prop_assert_eq!(cache_stream::<Fast>(&ops, 1, top), cache_stream::<Reference>(&ops, 1, top));
+    }
+
     /// ALU operations match Rust's wrapping semantics for all inputs.
     #[test]
     fn alu_matches_wrapping_semantics(a in any::<u64>(), b in any::<u64>()) {
