@@ -123,7 +123,8 @@ pub fn profile<P: ExecPath>(machine: &mut Machine<P>, app: &str, interval: u64) 
             .field("spec_instrs", spec_instrs)
             .field("squashes", squashes)
             .field("decode_fills", decode_fills)
-            .field("decode_flushes", decode_flushes);
+            .field("decode_flushes", decode_flushes)
+            .field("pages_touched", machine.mem().resident_pages());
         if let Some(start) = wall_start {
             let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
             span.field("wall_ms", wall_ms);

@@ -84,7 +84,7 @@ impl Scanner {
         let mut gadgets = Vec::new();
         for &(start, end) in &image.exec_ranges {
             let bytes = machine.mem().peek(start, (end - start) as usize);
-            gadgets.extend(self.scan_bytes(bytes, start));
+            gadgets.extend(self.scan_bytes(&bytes, start));
         }
         GadgetSet::new(gadgets)
     }

@@ -91,7 +91,11 @@ impl Default for ProtectConfig {
 /// builds [`Fast`], and [`MachineConfig::with_path`] converts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineConfig<P: ExecPath = Fast> {
-    /// Guest physical memory size in bytes.
+    /// Guest physical memory size in bytes: the guest address space, and
+    /// where the stack sits (at its top). Host memory grows with the pages
+    /// the guest writes, not with this size (see [`crate::mem::Memory`]);
+    /// only the per-page tables, 3 bytes of permissions and a 4-byte slot
+    /// per page, scale with it.
     pub mem_size: u64,
     /// Cache hierarchy geometry and latencies.
     pub caches: HierarchyConfig,

@@ -614,6 +614,7 @@ impl<P: ExecPath> Machine<P> {
         let (fills, flushes) = self.decode_cache_stats();
         telemetry::counter("sim.decode_fills", fills);
         telemetry::counter("sim.decode_flushes", flushes);
+        telemetry::counter("sim.pages_touched", self.mem.resident_pages() as u64);
         self.caches.emit_telemetry();
     }
 
@@ -1998,6 +1999,30 @@ mod tests {
     fn alloc_of_an_address_space_sized_block_panics() {
         let mut m = Machine::new(MachineConfig::default());
         m.alloc(u64::MAX - 5, Perms::RW);
+    }
+
+    #[test]
+    fn guest_memory_holds_only_the_pages_written() {
+        // A fresh machine has written only its canary, into the info page.
+        let mut m = Machine::new(MachineConfig::default());
+        assert_eq!(m.mem().resident_pages(), 1);
+        let buf = m.alloc(4 * PAGE_SIZE, Perms::RW);
+        assert_eq!(m.mem().resident_pages(), 1, "alloc sets permissions only");
+        let li = m
+            .load(&image_from(&[
+                Instr::Ldi(Reg::R1, (buf + 2 * PAGE_SIZE) as i32),
+                Instr::Ldi(Reg::R2, 0x5a),
+                Instr::St(Width::D, Reg::R1, Reg::R2, 8),
+                Instr::Ld(Width::D, Reg::R3, Reg::R1, 8),
+                Instr::Ld(Width::D, Reg::R4, Reg::R1, PAGE_SIZE as i32),
+                Instr::Halt,
+            ]))
+            .unwrap();
+        assert_eq!(m.mem().resident_pages(), 2, "a one-page text segment");
+        m.start(li.entry);
+        assert!(m.run().exit.is_clean());
+        assert_eq!((m.reg(Reg::R3), m.reg(Reg::R4)), (0x5a, 0));
+        assert_eq!(m.mem().resident_pages(), 3, "one stored page; loads add none");
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub fn disassemble_image(machine: &Machine, image: &LoadedImage) -> Vec<DisasmLi
     let mut out = Vec::new();
     for &(start, end) in &image.exec_ranges {
         let bytes = machine.mem().peek(start, (end - start) as usize);
-        out.extend(disassemble_with_symbols(bytes, start, &symbols));
+        out.extend(disassemble_with_symbols(&bytes, start, &symbols));
     }
     out
 }

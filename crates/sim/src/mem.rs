@@ -1,10 +1,16 @@
 //! Guest physical memory with page-granular protection.
 //!
-//! The machine exposes one flat address space backed by a byte array and a
-//! page-permission table. Permissions implement the defenses the paper
-//! discusses: Data Execution Prevention is simply "stack and heap pages do
-//! not carry `Perms::X`", which is why the attack must reuse existing
-//! code (ROP) instead of injecting new code.
+//! The machine exposes one flat address space with a page-permission
+//! table. Its bytes are stored sparsely: a page takes host memory only
+//! once something writes to it, and every untouched page reads as zeros
+//! from one shared zero page. So a 16 MiB guest that touches its text,
+//! stack, argument area and probe array costs tens of KiB of host memory,
+//! and cloning it copies only those pages.
+//!
+//! Permissions implement the defenses the paper discusses: Data Execution
+//! Prevention is simply "stack and heap pages do not carry `Perms::X`",
+//! which is why the attack must reuse existing code (ROP) instead of
+//! injecting new code.
 
 use std::cell::Cell;
 use std::fmt;
@@ -89,8 +95,17 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// Flat guest memory with a page-permission table, on the execution path
-/// `P` (see [`ExecPath`]).
+/// Guest memory with a page-permission table, on the execution path `P`
+/// (see [`ExecPath`]).
+///
+/// Addresses form one flat range of [`Memory::size`] bytes, all zero until
+/// written. The storage behind them is sparse: an arena of materialised
+/// pages, stored back to back, and one slot per guest page naming its arena
+/// page. Arena page 0 is the shared zero page every untouched slot points
+/// at. A page is materialised on its first [`Memory::write`] or
+/// [`Memory::poke`], so host memory grows with
+/// [`Memory::resident_pages`], not with the size, and `clone` copies only
+/// the materialised pages. Both execution paths use this storage.
 ///
 /// # Examples
 ///
@@ -105,7 +120,11 @@ impl std::error::Error for MemFault {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Memory<P: ExecPath = Fast> {
-    bytes: Vec<u8>,
+    /// Materialised pages, [`PAGE_SIZE`] bytes each, back to back. Page 0
+    /// is the zero page: never written, so an untouched page reads zeros.
+    arena: Vec<u8>,
+    /// Arena page of each guest page; 0 (the zero page) = never written.
+    page_slot: Vec<u32>,
     page_perms: Vec<Perms>,
     /// Index of the last page that passed a permission check, one slot per
     /// [`AccessKind`] (`Read`, `Write`, `Fetch` in declaration order).
@@ -128,13 +147,18 @@ pub struct Memory<P: ExecPath = Fast> {
 /// Sentinel for an empty [`Memory::last_page`] slot.
 const NO_PAGE: u64 = u64::MAX;
 
+/// [`PAGE_SIZE`] as a host index.
+const PAGE: usize = PAGE_SIZE as usize;
+
 impl<P: ExecPath> Memory<P> {
     /// Creates a memory of `size` bytes (rounded up to a whole page), with
-    /// all pages initially inaccessible, on the path its type names.
+    /// all pages zero and initially inaccessible, on the path its type
+    /// names. Allocates the zero page and the per-page tables only.
     pub fn new(size: u64) -> Memory<P> {
         let pages = size.div_ceil(PAGE_SIZE) as usize;
         Memory {
-            bytes: vec![0; pages * PAGE_SIZE as usize],
+            arena: vec![0; PAGE],
+            page_slot: vec![0; pages],
             page_perms: vec![Perms::NONE; pages],
             last_page: [Cell::new(NO_PAGE), Cell::new(NO_PAGE), Cell::new(NO_PAGE)],
             nonx_write_page: Cell::new(NO_PAGE),
@@ -152,7 +176,13 @@ impl<P: ExecPath> Memory<P> {
 
     /// Total size in bytes.
     pub fn size(&self) -> u64 {
-        self.bytes.len() as u64
+        self.page_slot.len() as u64 * PAGE_SIZE
+    }
+
+    /// Number of pages holding host memory: every page written or poked at
+    /// least once (the shared zero page not counted).
+    pub fn resident_pages(&self) -> usize {
+        self.arena.len() / PAGE - 1
     }
 
     /// Sets permissions for all pages overlapping `[addr, addr + len)`.
@@ -161,10 +191,7 @@ impl<P: ExecPath> Memory<P> {
     ///
     /// Panics if the range extends beyond the end of memory.
     pub fn set_perms(&mut self, addr: u64, len: u64, perms: Perms) {
-        assert!(
-            addr.checked_add(len).is_some_and(|end| end <= self.size()),
-            "set_perms out of range"
-        );
+        self.assert_in_range(addr, len, "set_perms");
         if len == 0 {
             return;
         }
@@ -242,9 +269,13 @@ impl<P: ExecPath> Memory<P> {
     ///
     /// Returns a [`MemFault`] if any touched page lacks read permission or
     /// the range is out of bounds.
+    // Always inlined, so `read_u8`/`read_u32`/`read_u64` copy a constant
+    // width from the page: as a call taking a slice of unknown length,
+    // guest loads ran the campaign trials ~5% slower.
+    #[inline(always)]
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
         self.check(addr, buf.len() as u64, AccessKind::Read)?;
-        buf.copy_from_slice(self.bytes_at(addr, buf.len()));
+        self.copy_out(addr, buf);
         Ok(())
     }
 
@@ -283,8 +314,7 @@ impl<P: ExecPath> Memory<P> {
                 }
             }
         }
-        let a = addr as usize;
-        self.bytes[a..a + data.len()].copy_from_slice(data);
+        self.copy_in(addr, data);
         Ok(())
     }
 
@@ -296,15 +326,94 @@ impl<P: ExecPath> Memory<P> {
     /// Returns a [`MemFault`] when the page is not executable.
     pub fn fetch(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
         self.check(addr, buf.len() as u64, AccessKind::Fetch)?;
-        buf.copy_from_slice(self.bytes_at(addr, buf.len()));
+        self.copy_out(addr, buf);
         Ok(())
     }
 
-    /// Raw backing-store slice for an in-bounds range; shared by the checked
-    /// accessors (after a permission check) and [`Memory::peek`].
+    /// The bytes of `[addr, addr + len)`, a range within one in-bounds
+    /// page: the zero page's when the page was never written.
     #[inline]
-    fn bytes_at(&self, addr: u64, len: usize) -> &[u8] {
-        &self.bytes[addr as usize..addr as usize + len]
+    fn page_bytes(&self, addr: u64, len: usize) -> &[u8] {
+        let base = self.page_slot[(addr / PAGE_SIZE) as usize] as usize * PAGE;
+        let at = base + (addr % PAGE_SIZE) as usize;
+        &self.arena[at..at + len]
+    }
+
+    /// Writable bytes of `[addr, addr + len)`, a range within one
+    /// in-bounds page, materialising the page on its first write.
+    #[inline]
+    fn page_bytes_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
+        let page = (addr / PAGE_SIZE) as usize;
+        let mut slot = self.page_slot[page];
+        if slot == 0 {
+            slot = self.materialise(page);
+        }
+        let at = slot as usize * PAGE + (addr % PAGE_SIZE) as usize;
+        &mut self.arena[at..at + len]
+    }
+
+    /// Gives guest page `page` an arena page of its own, zero-filled.
+    #[cold]
+    #[inline(never)]
+    fn materialise(&mut self, page: usize) -> u32 {
+        let slot = u32::try_from(self.arena.len() / PAGE).expect("arena page index fits u32");
+        self.arena.resize(self.arena.len() + PAGE, 0);
+        self.page_slot[page] = slot;
+        slot
+    }
+
+    /// Copies the in-bounds range at `addr` into `buf`: inline when it
+    /// stays within one page, else page by page.
+    #[inline]
+    fn copy_out(&self, addr: u64, buf: &mut [u8]) {
+        if !buf.is_empty() && (addr % PAGE_SIZE) as usize + buf.len() <= PAGE {
+            buf.copy_from_slice(self.page_bytes(addr, buf.len()));
+        } else {
+            self.copy_out_split(addr, buf);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn copy_out_split(&self, mut addr: u64, buf: &mut [u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let n = (PAGE - (addr % PAGE_SIZE) as usize).min(buf.len() - done);
+            buf[done..done + n].copy_from_slice(self.page_bytes(addr, n));
+            addr += n as u64;
+            done += n;
+        }
+    }
+
+    /// Copies `data` to the in-bounds range at `addr`: inline when it
+    /// stays within one page, else page by page.
+    #[inline]
+    fn copy_in(&mut self, addr: u64, data: &[u8]) {
+        if !data.is_empty() && (addr % PAGE_SIZE) as usize + data.len() <= PAGE {
+            self.page_bytes_mut(addr, data.len()).copy_from_slice(data);
+        } else {
+            self.copy_in_split(addr, data);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn copy_in_split(&mut self, mut addr: u64, data: &[u8]) {
+        let mut done = 0;
+        while done < data.len() {
+            let n = (PAGE - (addr % PAGE_SIZE) as usize).min(data.len() - done);
+            self.page_bytes_mut(addr, n).copy_from_slice(&data[done..done + n]);
+            addr += n as u64;
+            done += n;
+        }
+    }
+
+    /// Panics unless `[addr, addr + len)` lies within memory.
+    fn assert_in_range(&self, addr: u64, len: u64, what: &str) {
+        assert!(
+            addr.checked_add(len).is_some_and(|end| end <= self.size()),
+            "{what} out of range"
+        );
     }
 
     /// Reads one byte.
@@ -312,6 +421,7 @@ impl<P: ExecPath> Memory<P> {
     /// # Errors
     ///
     /// See [`Memory::read`].
+    #[inline]
     pub fn read_u8(&self, addr: u64) -> Result<u8, MemFault> {
         let mut b = [0u8; 1];
         self.read(addr, &mut b)?;
@@ -323,6 +433,7 @@ impl<P: ExecPath> Memory<P> {
     /// # Errors
     ///
     /// See [`Memory::read`].
+    #[inline]
     pub fn read_u32(&self, addr: u64) -> Result<u32, MemFault> {
         let mut b = [0u8; 4];
         self.read(addr, &mut b)?;
@@ -334,6 +445,7 @@ impl<P: ExecPath> Memory<P> {
     /// # Errors
     ///
     /// See [`Memory::read`].
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> Result<u64, MemFault> {
         let mut b = [0u8; 8];
         self.read(addr, &mut b)?;
@@ -388,7 +500,7 @@ impl<P: ExecPath> Memory<P> {
             self.check(cur, 1, AccessKind::Read)?;
             let page_end = (cur & !(PAGE_SIZE - 1)) + PAGE_SIZE;
             let chunk = remaining.min(page_end - cur) as usize;
-            let bytes = self.bytes_at(cur, chunk);
+            let bytes = self.page_bytes(cur, chunk);
             match bytes.iter().position(|&b| b == 0) {
                 Some(nul) => {
                     out.extend_from_slice(&bytes[..nul]);
@@ -408,8 +520,8 @@ impl<P: ExecPath> Memory<P> {
     ///
     /// Panics if the range is out of bounds.
     pub fn poke(&mut self, addr: u64, data: &[u8]) {
-        let a = addr as usize;
-        self.bytes[a..a + data.len()].copy_from_slice(data);
+        self.assert_in_range(addr, data.len() as u64, "poke");
+        self.copy_in(addr, data);
         // A poke bypasses permissions, so it may rewrite code no matter what
         // the page table says — always treat it as a code mutation.
         if !data.is_empty() {
@@ -418,12 +530,17 @@ impl<P: ExecPath> Memory<P> {
     }
 
     /// Reads raw bytes ignoring permissions — loader/debugger use only.
+    /// Returns an owned copy: the range may span pages that are not
+    /// adjacent in the sparse storage.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn peek(&self, addr: u64, len: usize) -> &[u8] {
-        self.bytes_at(addr, len)
+    pub fn peek(&self, addr: u64, len: usize) -> Vec<u8> {
+        self.assert_in_range(addr, len as u64, "peek");
+        let mut out = vec![0; len];
+        self.copy_out(addr, &mut out);
+        out
     }
 }
 
@@ -510,7 +627,7 @@ mod tests {
     fn poke_peek_bypass_permissions() {
         let mut mem: Memory = Memory::new(PAGE_SIZE);
         mem.poke(0, &[1, 2, 3]);
-        assert_eq!(mem.peek(0, 3), &[1, 2, 3]);
+        assert_eq!(mem.peek(0, 3), [1, 2, 3]);
         assert!(mem.read_u8(0).is_err(), "architectural access still faults");
     }
 
@@ -597,6 +714,13 @@ mod tests {
         assert_eq!(mem.read_cstr(PAGE_SIZE - 2, 64).unwrap(), b"spectre");
         // Zero-length request reads nothing, even from a bad address.
         assert_eq!(mem.read_cstr(u64::MAX, 0).unwrap(), b"");
+    }
+
+    #[test]
+    #[should_panic(expected = "peek out of range")]
+    fn peek_past_the_end_panics() {
+        let mem: Memory = Memory::new(PAGE_SIZE);
+        mem.peek(PAGE_SIZE - 2, 3);
     }
 
     #[test]

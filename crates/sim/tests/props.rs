@@ -1,6 +1,9 @@
 //! Property-based tests of the simulator's core invariants.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use cr_spectre_sim::branch::{Counter, PatternHistoryTable, ReturnStackBuffer};
 use cr_spectre_sim::cache::{Cache, CacheConfig, CacheHierarchy, HierarchyConfig, Lookup};
@@ -8,7 +11,7 @@ use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig, Reference};
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
 use cr_spectre_sim::isa::{AluOp, Instr, Reg};
-use cr_spectre_sim::mem::{Memory, Perms, PAGE_SIZE};
+use cr_spectre_sim::mem::{AccessKind, MemFault, Memory, Perms, PAGE_SIZE};
 use cr_spectre_sim::pmu::{HpcEvent, Pmu};
 
 /// Everything one cache operation of a random stream shows: the lookup
@@ -39,6 +42,259 @@ fn cache_stream<P: ExecPath>(ops: &[(u8, u64, u64)], line_size: u64, base: u64) 
             (lookup, probe, c.hits(), c.misses(), c.evictions())
         })
         .collect()
+}
+
+/// Pages of guest memory in the memory-oracle streams.
+const ORACLE_PAGES: u64 = 6;
+const ORACLE_SIZE: u64 = ORACLE_PAGES * PAGE_SIZE;
+
+/// One operation of a random guest-memory stream.
+#[derive(Debug, Clone)]
+enum MemOp {
+    Read { addr: u64, width: usize },
+    Write { addr: u64, width: usize, value: u64 },
+    Fetch { addr: u64, width: usize },
+    Poke { addr: u64, data: Vec<u8> },
+    Peek { addr: u64, len: usize },
+    ReadCstr { addr: u64, max: usize },
+    SetPerms { addr: u64, len: u64, perms: Perms },
+    /// Clones the memory, then pokes `data` at `addr` into the clone only.
+    Fork { addr: u64, data: Vec<u8> },
+}
+
+/// Addresses anywhere in memory, just past its end, around every page
+/// boundary (so wide accesses straddle two pages) and at the top of the
+/// address space.
+fn guest_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0..ORACLE_SIZE + 16,
+        (1..ORACLE_PAGES + 1, 0u64..16).prop_map(|(page, d)| page * PAGE_SIZE - 8 + d),
+        (0u64..16).prop_map(|d| u64::MAX - d),
+    ]
+}
+
+/// The start of an in-range `len`-byte host access near `addr`.
+fn in_range(addr: u64, len: usize) -> u64 {
+    addr.min(ORACLE_SIZE - len as u64)
+}
+
+/// Reads and writes three times as often as the other operations, and
+/// permission changes twice as often.
+fn mem_op() -> impl Strategy<Value = MemOp> {
+    // Bytes with a NUL now and then, so C-string scans end inside them.
+    let bytes = proptest::collection::vec(any::<u8>().prop_map(|b| if b < 64 { 0 } else { b }), 0..24);
+    (0u8..13, guest_addr(), 0..2 * PAGE_SIZE, any::<u64>(), bytes).prop_map(
+        |(kind, addr, n, value, data)| {
+            let width = [1, 4, 8][(n % 3) as usize];
+            match kind {
+                0..=2 => MemOp::Read { addr, width },
+                3..=5 => MemOp::Write { addr, width, value },
+                6 => MemOp::Fetch { addr, width },
+                7 => MemOp::Poke { addr: in_range(addr, data.len()), data },
+                8 => {
+                    let len = (n % 24) as usize;
+                    MemOp::Peek { addr: in_range(addr, len), len }
+                }
+                9 => MemOp::ReadCstr { addr, max: (n % 40) as usize },
+                10 | 11 => {
+                    let addr = addr.min(ORACLE_SIZE);
+                    let perms = Perms { r: value & 1 != 0, w: value & 2 != 0, x: value & 4 != 0 };
+                    MemOp::SetPerms { addr, len: n.min(ORACLE_SIZE - addr), perms }
+                }
+                _ => MemOp::Fork { addr: in_range(addr, data.len()), data },
+            }
+        },
+    )
+}
+
+/// Flat model of guest memory: every byte, every page's permissions, and
+/// the pages ever written (what the sparse storage must hold).
+#[derive(Clone)]
+struct FlatMem {
+    bytes: Vec<u8>,
+    perms: Vec<Perms>,
+    written: BTreeSet<u64>,
+}
+
+impl FlatMem {
+    fn new() -> FlatMem {
+        FlatMem {
+            bytes: vec![0; ORACLE_SIZE as usize],
+            perms: vec![Perms::NONE; ORACLE_PAGES as usize],
+            written: BTreeSet::new(),
+        }
+    }
+
+    /// The fault of a `len`-byte access at `addr`: at `addr` when the range
+    /// leaves memory, else at the first byte of the first page lacking the
+    /// permission.
+    fn fault(&self, addr: u64, len: u64, kind: AccessKind) -> Option<MemFault> {
+        if len == 0 {
+            return None;
+        }
+        let end = match addr.checked_add(len - 1) {
+            Some(end) if end < ORACLE_SIZE => end,
+            _ => return Some(MemFault { addr, kind }),
+        };
+        (addr / PAGE_SIZE..=end / PAGE_SIZE)
+            .find(|&page| {
+                let p = self.perms[page as usize];
+                !match kind {
+                    AccessKind::Read => p.r,
+                    AccessKind::Write => p.w,
+                    AccessKind::Fetch => p.x,
+                }
+            })
+            .map(|page| MemFault { addr: (page * PAGE_SIZE).max(addr), kind })
+    }
+
+    fn load(&self, addr: u64, len: usize, kind: AccessKind) -> Result<Vec<u8>, MemFault> {
+        match self.fault(addr, len as u64, kind) {
+            Some(fault) => Err(fault),
+            None => Ok(self.bytes[addr as usize..addr as usize + len].to_vec()),
+        }
+    }
+
+    fn store(&mut self, addr: u64, data: &[u8]) {
+        self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        self.written.extend((addr..addr + data.len() as u64).map(|a| a / PAGE_SIZE));
+    }
+
+    /// Applies `op` (except a fork): its result (read bytes or fault) and
+    /// whether the code epoch moves.
+    fn apply(&mut self, op: &MemOp) -> (Result<Vec<u8>, MemFault>, bool) {
+        match *op {
+            MemOp::Read { addr, width } => (self.load(addr, width, AccessKind::Read), false),
+            MemOp::Fetch { addr, width } => (self.load(addr, width, AccessKind::Fetch), false),
+            MemOp::Write { addr, width, value } => {
+                if let Some(fault) = self.fault(addr, width as u64, AccessKind::Write) {
+                    return (Err(fault), false);
+                }
+                let code = (addr / PAGE_SIZE..=(addr + width as u64 - 1) / PAGE_SIZE)
+                    .any(|page| self.perms[page as usize].x);
+                self.store(addr, &value.to_le_bytes()[..width]);
+                (Ok(Vec::new()), code)
+            }
+            MemOp::Poke { addr, ref data } => {
+                self.store(addr, data);
+                (Ok(Vec::new()), !data.is_empty())
+            }
+            MemOp::Peek { addr, len } => {
+                (Ok(self.bytes[addr as usize..addr as usize + len].to_vec()), false)
+            }
+            MemOp::ReadCstr { addr, max } => {
+                let mut out = Vec::new();
+                for a in (0..max as u64).map(|i| addr + i) {
+                    if let Some(fault) = self.fault(a, 1, AccessKind::Read) {
+                        return (Err(fault), false);
+                    }
+                    match self.bytes[a as usize] {
+                        0 => break,
+                        b => out.push(b),
+                    }
+                }
+                (Ok(out), false)
+            }
+            MemOp::SetPerms { addr, len, perms } => {
+                if len > 0 {
+                    for page in addr / PAGE_SIZE..=(addr + len - 1) / PAGE_SIZE {
+                        self.perms[page as usize] = perms;
+                    }
+                }
+                (Ok(Vec::new()), len > 0)
+            }
+            MemOp::Fork { .. } => unreachable!("forks are applied by the stream"),
+        }
+    }
+}
+
+/// Applies `op` (except a fork) to `mem`: its result, as [`FlatMem::apply`].
+fn apply_mem<P: ExecPath>(mem: &mut Memory<P>, op: &MemOp) -> Result<Vec<u8>, MemFault> {
+    let le = |v: u64, width: usize| v.to_le_bytes()[..width].to_vec();
+    match *op {
+        MemOp::Read { addr, width } => match width {
+            1 => mem.read_u8(addr).map(|v| vec![v]),
+            4 => mem.read_u32(addr).map(|v| le(v.into(), 4)),
+            _ => mem.read_u64(addr).map(|v| le(v, 8)),
+        },
+        MemOp::Write { addr, width, value } => match width {
+            1 => mem.write_u8(addr, value as u8),
+            4 => mem.write_u32(addr, value as u32),
+            _ => mem.write_u64(addr, value),
+        }
+        .map(|()| Vec::new()),
+        MemOp::Fetch { addr, width } => {
+            let mut buf = vec![0; width];
+            mem.fetch(addr, &mut buf).map(|()| buf)
+        }
+        MemOp::Poke { addr, ref data } => {
+            mem.poke(addr, data);
+            Ok(Vec::new())
+        }
+        MemOp::Peek { addr, len } => Ok(mem.peek(addr, len)),
+        MemOp::ReadCstr { addr, max } => mem.read_cstr(addr, max),
+        MemOp::SetPerms { addr, len, perms } => {
+            mem.set_perms(addr, len, perms);
+            Ok(Vec::new())
+        }
+        MemOp::Fork { .. } => unreachable!("forks are applied by the stream"),
+    }
+}
+
+/// Every byte, every page's permissions and the resident page count of
+/// `mem` match the model.
+fn assert_same_memory<P: ExecPath>(mem: &Memory<P>, model: &FlatMem) -> Result<(), TestCaseError> {
+    prop_assert_eq!(mem.size(), ORACLE_SIZE);
+    prop_assert!(mem.peek(0, ORACLE_SIZE as usize) == model.bytes, "bytes differ from the model");
+    for page in 0..ORACLE_PAGES {
+        prop_assert_eq!(mem.perms_at(page * PAGE_SIZE), model.perms[page as usize], "page {}", page);
+    }
+    prop_assert_eq!(mem.resident_pages(), model.written.len(), "resident pages");
+    Ok(())
+}
+
+/// Runs `ops` on a `Memory<P>` and the flat model side by side: after every
+/// operation its result or fault, and whether the code epoch moved, must
+/// agree; at the end, so must every byte of the memory and of each fork.
+fn memory_stream<P: ExecPath>(ops: &[MemOp]) -> Result<(), TestCaseError> {
+    let mut mem = Memory::<P>::new(ORACLE_SIZE);
+    let mut model = FlatMem::new();
+    let mut forks = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let epoch = mem.code_epoch();
+        let (got, want) = match op {
+            MemOp::Fork { addr, data } => {
+                let (mut twin, mut twin_model) = (mem.clone(), model.clone());
+                twin.poke(*addr, data);
+                twin_model.store(*addr, data);
+                forks.push((twin, twin_model));
+                (Ok(Vec::new()), (Ok(Vec::new()), false))
+            }
+            _ => (apply_mem(&mut mem, op), model.apply(op)),
+        };
+        prop_assert_eq!(got, want.0, "op {}: {:?}", i, op);
+        prop_assert_eq!(mem.code_epoch() != epoch, want.1, "op {}: code epoch of {:?}", i, op);
+    }
+    assert_same_memory(&mem, &model)?;
+    for (twin, twin_model) in &forks {
+        assert_same_memory(twin, twin_model)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Sparse guest memory behaves as one flat byte array with a page
+    /// permission table, on both execution paths: reads, writes and
+    /// fetches of every width (page-straddling and out-of-range ones
+    /// included), pokes, peeks, C-string scans, permission changes, and
+    /// clones written independently of their original.
+    #[test]
+    fn memory_matches_flat_model_on_random_streams(
+        ops in proptest::collection::vec(mem_op(), 1..300)
+    ) {
+        memory_stream::<Fast>(&ops)?;
+        memory_stream::<Reference>(&ops)?;
+    }
 }
 
 proptest! {

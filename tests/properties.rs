@@ -188,14 +188,14 @@ proptest! {
         }
         machine.set_reg(Reg::SP, machine.initial_sp());
         let regs_before: Vec<u64> = Reg::ALL.iter().map(|&r| machine.reg(r)).collect();
-        let mem_before = machine.mem().peek(scratch, PAGE_SIZE as usize).to_vec();
+        let mem_before = machine.mem().peek(scratch, PAGE_SIZE as usize);
 
         machine.speculate_at(code_addr, budget);
 
         let regs_after: Vec<u64> = Reg::ALL.iter().map(|&r| machine.reg(r)).collect();
         prop_assert_eq!(regs_before, regs_after, "registers must be squashed");
         prop_assert_eq!(
-            &mem_before[..],
+            mem_before,
             machine.mem().peek(scratch, PAGE_SIZE as usize),
             "stores must be squashed"
         );

@@ -9,6 +9,8 @@
 use std::collections::BTreeSet;
 use std::process::Command;
 
+use cr_spectre::sim::config::MachineConfig;
+use cr_spectre::sim::mem::PAGE_SIZE;
 use cr_spectre::telemetry::json::{parse, Value};
 
 fn require_keys(line_no: usize, line: &str, value: &Value, keys: &[&str]) {
@@ -66,6 +68,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
     let mut attempt_spans = 0usize;
     let mut profile_spans = 0usize;
     let mut types = Vec::new();
+    let guest_pages = (MachineConfig::default().mem_size / PAGE_SIZE) as f64;
     for (i, line) in lines.iter().enumerate() {
         // Every line must parse with the crate's own strict parser.
         let value = parse(line).unwrap_or_else(|e| panic!("line {i} {line:?}: {e}"));
@@ -95,11 +98,18 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
                         "squashes",
                         "decode_fills",
                         "decode_flushes",
+                        "pages_touched",
                     ] {
                         assert!(fields.get(key).is_some(), "line {i}: no {key} field");
                     }
                     let fills = fields.get("decode_fills").and_then(Value::as_f64);
                     assert!(fills > Some(0.0), "line {i}: a profiled run fills the decode cache");
+                    // Guest memory is sparse: a run touches some pages, never all.
+                    let pages = fields.get("pages_touched").and_then(Value::as_f64).unwrap_or(0.0);
+                    assert!(
+                        pages > 0.0 && pages < guest_pages,
+                        "line {i}: pages_touched {pages} outside (0, {guest_pages})"
+                    );
                 }
                 span_names.insert(name);
             }
@@ -142,6 +152,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
         "sim.instructions",
         "sim.decode_fills",
         "sim.decode_flushes",
+        "sim.pages_touched",
         "hpc.trials",
         "par_map.jobs",
         "hid.fits",
