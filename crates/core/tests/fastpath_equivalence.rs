@@ -8,7 +8,7 @@
 //! of the rendered artifacts is bit equality of every number in them.
 //! fig5 and fig6 run the full CR-Spectre chain — ROP injection rewrites
 //! host code at runtime — so these tests also cover the self-modifying
-//! path of the predecode cache at campaign scale.
+//! path of the block cache at campaign scale.
 
 use cr_spectre_core::campaign::{fig4, fig5, fig6, table1, CampaignConfig};
 use cr_spectre_sim::config::{ExecPath, Fast, Reference};

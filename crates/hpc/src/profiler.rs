@@ -124,6 +124,7 @@ pub fn profile<P: ExecPath>(machine: &mut Machine<P>, app: &str, interval: u64) 
             .field("squashes", squashes)
             .field("decode_fills", decode_fills)
             .field("decode_flushes", decode_flushes)
+            .field("blocks_run", machine.blocks_run())
             .field("pages_touched", machine.mem().resident_pages());
         if let Some(start) = wall_start {
             let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;

@@ -214,6 +214,19 @@ impl<P: ExecPath> Cache<P> {
         self.lookup(line)
     }
 
+    /// A hit on the line of `addr`, which must be the line of this cache's
+    /// last access, with no fill or flush since: an access leaves its
+    /// line tracked in the hit batch, so this is the batched hit
+    /// [`Cache::access`] would make, without the lookup. Fast path only.
+    #[inline(always)]
+    fn rehit(&mut self, addr: u64) {
+        let line = self.line_addr(addr);
+        let i = Self::entry(line);
+        debug_assert!(P::FAST && self.batch.lines[i] == line, "rehit of an untracked line");
+        self.batch.pending += 1;
+        self.batch.last_seq[i] = self.batch.pending;
+    }
+
     /// The rest of [`Cache::access`]: a hit found in the set, which the
     /// fast path starts to track, or a miss, which applies the batch
     /// before it fills.
@@ -464,15 +477,23 @@ impl<P: ExecPath> CacheHierarchy<P> {
         self.prefetch_fills
     }
 
-    /// Performs an instruction-fetch access.
-    ///
-    /// An L1 hit stays inline; a miss goes to L2 out of line.
+    /// Performs an instruction-fetch access: `None` on an L1 hit, else
+    /// the miss's latency. An L1 hit stays inline, with no result to build,
+    /// so a step loop keeps it in registers; a miss goes to L2 out of line.
     #[inline(always)]
-    pub fn access_instr(&mut self, addr: u64) -> AccessResult {
+    pub(crate) fn fetch_instr(&mut self, addr: u64) -> Option<u64> {
         if self.l1i.access(addr) == Lookup::Hit {
-            return AccessResult { latency: self.l1i.config.hit_latency, l1_hit: true, l2_hit: false };
+            return None;
         }
-        self.l2_access(addr, self.l1i.config.hit_latency)
+        Some(self.l2_access(addr, self.l1i.config.hit_latency).latency)
+    }
+
+    /// An instruction fetch that hits the line of the L1i's last access,
+    /// with no L1i fill or flush since (see [`Cache::rehit`]): the next
+    /// instruction of a straight-line run within one line.
+    #[inline(always)]
+    pub(crate) fn refetch_instr(&mut self, addr: u64) {
+        self.l1i.rehit(addr);
     }
 
     /// The L2 half of an access that missed an L1 whose hit latency is
@@ -665,7 +686,7 @@ mod tests {
     #[test]
     fn instruction_and_data_paths_are_separate_at_l1() {
         let mut h: CacheHierarchy = CacheHierarchy::new(HierarchyConfig::default());
-        h.access_instr(0x1000);
+        h.fetch_instr(0x1000);
         // The first *data* access to the same line misses L1D but hits L2.
         let r = h.access_data(0x1000);
         assert!(!r.l1_hit);

@@ -18,7 +18,7 @@ pub trait ExecPath: sealed::Sealed + Copy + std::fmt::Debug + Eq + Send + Sync +
     const FAST: bool;
 }
 
-/// The production path: decode cache, the caches' hit batches, batched
+/// The production path: block cache, the caches' hit batches, batched
 /// PMU counters, the permission cache and shift/mask cache indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fast;

@@ -81,55 +81,219 @@ pub enum StepStatus {
 #[derive(Debug)]
 struct Stopped;
 
-/// Number of slots in the predecoded-instruction cache. Power of two;
-/// covers 32 KiB of straight-line guest text (4096 slots × 8-byte
-/// instructions), comfortably more than any campaign workload image.
-const DECODE_SLOTS: usize = 4096;
+/// Number of slots in the block cache. Power of two.
+const BLOCK_SLOTS: usize = 512;
 
-/// Direct-mapped software cache of decoded instructions, keyed by guest PC.
+/// Most instructions one block holds: 512 blocks of 8 instructions cover
+/// 32 KiB of straight-line guest text, more than any campaign workload
+/// image holds.
+const BLOCK_LEN: usize = 8;
+
+/// Most distinct static PMU events one block charges (14 body events and
+/// a terminator's 3 fit).
+const BLOCK_EVENTS: usize = 18;
+
+/// A decoded straight-line run of guest code: from its entry PC up to and
+/// including the first control transfer or barrier (see
+/// [`ends_block`]), at most [`BLOCK_LEN`] instructions, each of which
+/// fetched and decoded when the block was filled.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(128))] // a power of two, so a slot's offset is a shift
+struct Block {
+    /// Entry PC; `u64::MAX` marks an empty slot (that address can never
+    /// fetch successfully: it is out of bounds by construction).
+    entry: u64,
+    /// Complete runs not yet mirrored into the PMU by [`Machine::settle`].
+    runs: u64,
+    instrs: [Instr; BLOCK_LEN],
+    len: u8,
+    /// Bit `k` set: instruction `k` is fetched from the same L1i line as
+    /// instruction `k - 1`.
+    same_line: u8,
+    /// `(event, count)`: the static PMU events one complete run charges
+    /// ([`static_events`] summed over the block), the first `n_events`
+    /// entries valid.
+    events: [(HpcEvent, u8); BLOCK_EVENTS],
+    n_events: u8,
+}
+
+impl Block {
+    const EMPTY: Block = Block {
+        entry: u64::MAX,
+        runs: 0,
+        instrs: [Instr::Nop; BLOCK_LEN],
+        len: 0,
+        same_line: 0,
+        events: [(HpcEvent::Instructions, 0); BLOCK_EVENTS],
+        n_events: 0,
+    };
+
+    /// Adds `runs` complete runs' static events to `pmu`.
+    fn charge(&self, pmu: &mut Pmu, runs: u64) {
+        for &(event, n) in &self.events[..self.n_events as usize] {
+            pmu.add(event, runs * n as u64);
+        }
+    }
+}
+
+// 64 KiB of blocks per machine, which every CR-Spectre trial clones once
+// (`rop::exploit::probe_ret_offset`).
+const _: () = assert!(std::mem::size_of::<Block>() * BLOCK_SLOTS == 64 * 1024);
+
+/// Direct-mapped cache of decoded blocks, keyed by entry PC: the
+/// execution fast path's instruction source, for architectural steps,
+/// speculation and the tracer alike.
 ///
 /// Validity is epoch-based: [`Memory::code_epoch`] moves on any mutation
 /// that could change fetched bytes (`poke`, a store into an executable
 /// page, any permission change), and the whole cache is dropped on the
 /// next lookup. A hit therefore proves both that the bytes are unchanged
-/// *and* that the page was fetchable when the entry was filled — which is
-/// what lets a hit skip the permission walk and the decode entirely.
+/// *and* that every page of the block was fetchable when it was filled,
+/// which is what lets a hit skip the permission walks and the decodes.
 #[derive(Debug, Clone)]
-struct DecodeCache {
-    /// Guest PC tags; `u64::MAX` marks an invalid slot (that address can
-    /// never fetch successfully — it is out of bounds by construction).
-    tags: Box<[u64; DECODE_SLOTS]>,
-    /// Decoded instructions parallel to `tags`. Fixed-size arrays (not
-    /// boxed slices) so the masked slot index provably needs no bounds
-    /// check.
-    instrs: Box<[Instr; DECODE_SLOTS]>,
-    /// The [`Memory::code_epoch`] the current entries were filled under.
+struct BlockCache {
+    /// Fixed-size array (not a boxed slice) so the masked slot index
+    /// provably needs no bounds check.
+    blocks: Box<[Block; BLOCK_SLOTS]>,
+    /// One bit per slot whose block has runs to settle: set by the first
+    /// run after a settle, so the hot loop pays only a test of the count
+    /// it increments.
+    dirty: [u64; BLOCK_SLOTS / 64],
+    /// The [`Memory::code_epoch`] the current blocks were filled under.
     epoch: u64,
-    /// Slots filled and whole-cache drops (epoch changes) so far.
+    /// Runs already mirrored, early-left runs included.
+    runs_settled: u64,
+    /// Blocks filled and whole-cache drops (epoch changes) so far.
     fills: u64,
     flushes: u64,
 }
 
-impl DecodeCache {
-    fn new() -> DecodeCache {
-        DecodeCache {
-            tags: Box::new([u64::MAX; DECODE_SLOTS]),
-            instrs: Box::new([Instr::Nop; DECODE_SLOTS]),
+impl BlockCache {
+    fn new() -> BlockCache {
+        let blocks = vec![Block::EMPTY; BLOCK_SLOTS].into_boxed_slice();
+        BlockCache {
+            blocks: blocks.try_into().expect("BLOCK_SLOTS blocks"),
+            dirty: [0; BLOCK_SLOTS / 64],
             epoch: 0,
+            runs_settled: 0,
             fills: 0,
             flushes: 0,
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn slot(pc: u64) -> usize {
-        ((pc / INSTR_BYTES as u64) as usize) & (DECODE_SLOTS - 1)
+        ((pc / INSTR_BYTES as u64) as usize) & (BLOCK_SLOTS - 1)
     }
 
-    fn clear(&mut self, epoch: u64) {
-        self.tags.fill(u64::MAX);
+    /// Counts one complete run of the block in `slot`.
+    #[inline(always)]
+    fn ran(&mut self, slot: usize) {
+        let block = &mut self.blocks[slot];
+        if block.runs == 0 {
+            self.dirty[slot / 64] |= 1 << (slot % 64);
+        }
+        block.runs += 1;
+    }
+
+    /// Mirrors the pending runs of `slot` into `pmu`.
+    fn settle_slot(&mut self, slot: usize, pmu: &mut Pmu) {
+        let block = &mut self.blocks[slot];
+        let runs = std::mem::take(&mut block.runs);
+        if runs > 0 {
+            block.charge(pmu, runs);
+            self.runs_settled += runs;
+        }
+    }
+
+    /// Mirrors every pending run into `pmu`.
+    fn settle(&mut self, pmu: &mut Pmu) {
+        for word in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[word]);
+            while bits != 0 {
+                self.settle_slot(word * 64 + bits.trailing_zeros() as usize, pmu);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Puts `block` in `slot`, settling the block it replaces.
+    fn fill(&mut self, slot: usize, block: Block, pmu: &mut Pmu) {
+        self.settle_slot(slot, pmu);
+        self.blocks[slot] = block;
+        self.fills += 1;
+    }
+
+    /// Drops every block, settling their runs first.
+    fn clear(&mut self, epoch: u64, pmu: &mut Pmu) {
+        self.settle(pmu);
+        self.blocks.fill(Block::EMPTY);
         self.epoch = epoch;
         self.flushes += 1;
+    }
+
+    /// Runs so far, complete or left early, pending ones included.
+    fn runs(&self) -> u64 {
+        self.runs_settled + self.blocks.iter().map(|block| block.runs).sum::<u64>()
+    }
+}
+
+/// Whether `instr` ends a block: a control transfer, or `CLFLUSH`, which
+/// can evict the block's own L1i line (a block fetches each instruction
+/// after the first of a line as a hit on it). A store that moves the code
+/// epoch ends a block too, but only when it does: see
+/// [`Machine::run_blocks`].
+fn ends_block(instr: Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Br(..)
+            | Instr::Jmp(_)
+            | Instr::JmpR(_)
+            | Instr::Call(_)
+            | Instr::CallR(_)
+            | Instr::Ret
+            | Instr::Syscall
+            | Instr::Halt
+            | Instr::ClFlush(..)
+    )
+}
+
+/// The PMU events `instr` counts every time it completes, whatever its
+/// operands and the machine state: what a block batches. [`Machine::exec`]
+/// counts the same events itself when not batched.
+fn static_events(instr: Instr) -> &'static [HpcEvent] {
+    use HpcEvent::*;
+    match instr {
+        Instr::Nop | Instr::Halt => &[],
+        Instr::Ldi(..) | Instr::Ldih(..) | Instr::Mov(..) => &[MovOps],
+        Instr::Alu(op, ..) => match op {
+            AluOp::Mul => &[AluOps, MulOps],
+            AluOp::Divu | AluOp::Remu => &[AluOps, DivOps],
+            AluOp::Shl | AluOp::Shr | AluOp::Sar => &[AluOps, ShiftOps],
+            _ => &[AluOps],
+        },
+        Instr::Alui(op, ..) => match op {
+            AluOp::Mul => &[AluImmOps, AluOps, MulOps],
+            AluOp::Divu | AluOp::Remu => &[AluImmOps, AluOps, DivOps],
+            AluOp::Shl | AluOp::Shr | AluOp::Sar => &[AluImmOps, AluOps, ShiftOps],
+            _ => &[AluImmOps, AluOps],
+        },
+        Instr::Ld(Width::B, ..) => &[Loads, LoadBytes],
+        Instr::Ld(Width::W, ..) => &[Loads],
+        Instr::Ld(Width::D, ..) => &[Loads, LoadDwords],
+        Instr::St(..) => &[Stores],
+        Instr::Br(..) => &[BranchInstrs, CondBranches],
+        Instr::Jmp(_) => &[BranchInstrs, Jumps],
+        Instr::JmpR(_) => &[BranchInstrs, IndirectBranches],
+        Instr::Call(_) => &[BranchInstrs, Calls],
+        Instr::CallR(_) => &[BranchInstrs, Calls, IndirectBranches],
+        Instr::Ret => &[BranchInstrs, Returns],
+        Instr::Push(_) => &[Pushes],
+        Instr::Pop(_) => &[Pops],
+        Instr::ClFlush(..) => &[Flushes],
+        Instr::MFence => &[Fences],
+        Instr::Rdtsc(_) => &[Rdtscs],
+        Instr::Syscall => &[Syscalls],
     }
 }
 
@@ -212,8 +376,8 @@ pub struct Machine<P: ExecPath = Fast> {
     /// Portion of the caches' eviction total already mirrored into
     /// [`HpcEvent::CacheEvictions`].
     last_evictions: u64,
-    /// Predecoded-instruction cache (the execution fast path).
-    dcache: DecodeCache,
+    /// Decoded-block cache (the execution fast path).
+    blocks: BlockCache,
     /// Portion of `cycle` already mirrored into [`HpcEvent::Cycles`].
     cycles_flushed: u64,
     /// Portion of `retired` already mirrored into
@@ -268,7 +432,7 @@ impl<P: ExecPath> Machine<P> {
             canary,
             rng,
             last_evictions: 0,
-            dcache: DecodeCache::new(),
+            blocks: BlockCache::new(),
             cycles_flushed: 0,
             instrs_flushed: 0,
             l1i_hits: 0,
@@ -533,10 +697,18 @@ impl<P: ExecPath> Machine<P> {
         &self.cfg
     }
 
-    /// Decode-cache `(fills, flushes)` so far: host-side statistics, not
-    /// PMU events, and both 0 on the reference path (no decode cache).
+    /// Block-cache `(fills, flushes)` so far: blocks decoded and
+    /// whole-cache drops. Host-side statistics, not PMU events, and both 0
+    /// on the reference path (no block cache).
     pub fn decode_cache_stats(&self) -> (u64, u64) {
-        (self.dcache.fills, self.dcache.flushes)
+        (self.blocks.fills, self.blocks.flushes)
+    }
+
+    /// Blocks run so far, whole or left early (a host-side statistic; 0 on
+    /// the reference path): [`Machine::instructions`] over this is the
+    /// mean executed block length, when the run stepped nothing singly.
+    pub fn blocks_run(&self) -> u64 {
+        self.blocks.runs()
     }
 
     // ---------------------------------------------------------------
@@ -572,6 +744,10 @@ impl<P: ExecPath> Machine<P> {
     /// window boundary exactly as it could between steps. A limit at or
     /// below `cycles()` executes nothing.
     ///
+    /// The fast path runs decoded straight-line blocks from its block
+    /// cache, each instruction still checked against `cycle_limit`; the
+    /// reference path steps one instruction at a time.
+    ///
     /// The loop is generic over `P`, so each crate that runs a machine
     /// compiles its own copy. The small non-generic helpers it calls in
     /// `branch`, `isa` and `pmu` are `#[inline]`, so those copies inline
@@ -581,12 +757,193 @@ impl<P: ExecPath> Machine<P> {
         if self.stopped.is_none() {
             let max_instructions = self.cfg.max_instructions;
             while self.cycle < cycle_limit {
-                if self.step_once(max_instructions).is_err() {
+                let step = match self.block_at(self.pc) {
+                    Some(slot) if self.fits_budget(slot, max_instructions) => {
+                        self.run_blocks(slot, cycle_limit, max_instructions)
+                    }
+                    _ => self.step_once(max_instructions),
+                };
+                if step.is_err() {
                     break;
                 }
             }
         }
         self.stopped.clone()
+    }
+
+    /// Whether the block in `slot` fits the instruction budget whole. The
+    /// budget is checked once for such a block; one that does not fit is
+    /// stepped instruction by instruction, so the budget faults on the
+    /// exact one.
+    #[inline(always)]
+    fn fits_budget(&self, slot: usize, max_instructions: u64) -> bool {
+        max_instructions.saturating_sub(self.retired) >= self.blocks.blocks[slot].len as u64
+    }
+
+    /// Runs the block in `slot`, entered at `self.pc`, then each next
+    /// block while it is cached and fits the budget, until the cycle
+    /// reaches `cycle_limit` between two instructions: exactly as single
+    /// steps would. Each instruction still makes its own L1i access, in
+    /// order, but the budget check, the block lookup, the `retired` and
+    /// L1i-hit counts and the static PMU events are paid once per block:
+    /// a complete run is counted for [`Machine::settle`], and a run left
+    /// early is charged at once for the instructions that ran. The PC, the
+    /// cycle and those two counts stay in locals until the loop ends.
+    #[inline(always)]
+    fn run_blocks(
+        &mut self,
+        mut slot: usize,
+        cycle_limit: u64,
+        max_instructions: u64,
+    ) -> Result<(), Stopped> {
+        let mut pc = self.pc;
+        let mut cycle = self.cycle;
+        let mut retired = self.retired;
+        // L1i hits: each block's fetches are counted up front, and a miss
+        // or a run left early takes its share back.
+        let mut hits = 0;
+        loop {
+            let block = &self.blocks.blocks[slot];
+            let (instrs, len, same_line) = (block.instrs, block.len as usize, block.same_line);
+            retired += len as u64;
+            hits += len as u64;
+            let epoch = self.blocks.epoch;
+            let (&last, body) = instrs[..len].split_last().expect("a block is never empty");
+            for (done, instr) in body.iter().enumerate() {
+                if let Some(latency) = self.block_fetch(pc, same_line & (1 << done) != 0) {
+                    hits -= 1;
+                    cycle += latency;
+                }
+                match self.exec::<true>(pc, instr, &mut cycle) {
+                    Ok(next_pc) => pc = next_pc,
+                    Err(stopped) => {
+                        self.store_counts(cycle, retired, hits);
+                        self.leave_block(slot, done, pc, true);
+                        return Err(stopped);
+                    }
+                }
+                // A store that moved the code epoch may have rewritten the
+                // rest of this block: leave it, and the next lookup refills.
+                let code_changed = matches!(*instr, Instr::St(..) | Instr::Push(_))
+                    && self.mem.code_epoch() != epoch;
+                if cycle >= cycle_limit || code_changed {
+                    self.store_counts(cycle, retired, hits);
+                    self.leave_block(slot, done + 1, pc, false);
+                    return Ok(());
+                }
+            }
+            if let Some(latency) = self.block_fetch(pc, same_line & (1 << body.len()) != 0) {
+                hits -= 1;
+                cycle += latency;
+            }
+            // Counted before the last instruction executes: a mispredicted
+            // branch speculates, and speculation may refill this very slot.
+            self.blocks.ran(slot);
+            match self.exec::<true>(pc, &last, &mut cycle) {
+                Ok(next_pc) => pc = next_pc,
+                Err(stopped) => {
+                    self.store_counts(cycle, retired, hits);
+                    self.stop_in_block_end(slot, pc, last);
+                    return Err(stopped);
+                }
+            }
+            if cycle >= cycle_limit {
+                break;
+            }
+            slot = BlockCache::slot(pc);
+            let next = &self.blocks.blocks[slot];
+            if next.entry != pc
+                || self.blocks.epoch != self.mem.code_epoch()
+                || max_instructions - retired < next.len as u64
+            {
+                break;
+            }
+        }
+        self.pc = pc;
+        self.store_counts(cycle, retired, hits);
+        Ok(())
+    }
+
+    /// Stores the block loop's locals: the cycle, `retired` and the L1i
+    /// hits counted since the loop began.
+    #[inline(always)]
+    fn store_counts(&mut self, cycle: u64, retired: u64, hits: u64) {
+        self.cycle = cycle;
+        self.retired = retired;
+        self.l1i_hits += hits;
+    }
+
+    /// The L1i access of a block instruction at `pc`: the latency of a
+    /// miss, which is counted in the PMU at once. When `same_line`, the
+    /// previous instruction of the block was fetched from the same line,
+    /// and nothing between two fetches of a block touches the L1i
+    /// (`CLFLUSH` ends a block), so this fetch hits the line that one left
+    /// tracked.
+    #[inline(always)]
+    fn block_fetch(&mut self, pc: u64, same_line: bool) -> Option<u64> {
+        if same_line {
+            self.caches.refetch_instr(pc);
+            return None;
+        }
+        let miss = self.caches.fetch_instr(pc);
+        if miss.is_some() {
+            self.count_fetch_miss();
+        }
+        miss
+    }
+
+    #[cold]
+    fn count_fetch_miss(&mut self) {
+        self.pmu.incr(HpcEvent::L1iAccess);
+        self.pmu.incr(HpcEvent::L1iMiss);
+    }
+
+    /// The last instruction of the block in `slot`, at `pc`, stopped the
+    /// machine after its run was counted. A system call, or a return the
+    /// shadow stack stopped, had counted its static events, so the run
+    /// stands as counted (and the slot may hold another block by now).
+    /// Any other stop is a fault raised before the instruction counted
+    /// anything, and before it could speculate: the run is taken back and
+    /// charged as left early.
+    #[cold]
+    fn stop_in_block_end(&mut self, slot: usize, pc: u64, instr: Instr) {
+        let counted = match instr {
+            Instr::Syscall => true,
+            Instr::Ret => {
+                matches!(self.stopped, Some(ExitReason::Fault(Fault::ShadowStack { .. })))
+            }
+            _ => false,
+        };
+        if counted {
+            self.pc = pc;
+        } else {
+            let block = &mut self.blocks.blocks[slot];
+            block.runs -= 1;
+            let done = block.len as usize - 1;
+            self.leave_block(slot, done, pc, true);
+        }
+    }
+
+    /// Leaves the block in `slot` at `pc` after its first `done`
+    /// instructions completed; when `stopped`, the instruction at `pc` was
+    /// fetched and retired too, but stopped the machine before it counted
+    /// anything. Gives back the precounts of the instructions never
+    /// fetched and charges the static events of those that completed, so
+    /// the PMU reads as single steps would have left it.
+    #[cold]
+    #[inline(never)]
+    fn leave_block(&mut self, slot: usize, done: usize, pc: u64, stopped: bool) {
+        let block = &self.blocks.blocks[slot];
+        let unfetched = (block.len as usize - done - stopped as usize) as u64;
+        for &instr in &block.instrs[..done] {
+            for &event in static_events(instr) {
+                self.pmu.incr(event);
+            }
+        }
+        self.retired -= unfetched;
+        self.l1i_hits -= unfetched;
+        self.blocks.runs_settled += 1;
+        self.pc = pc;
     }
 
     /// Publishes this machine's cumulative PMU and cache activity to the
@@ -680,7 +1037,11 @@ impl<P: ExecPath> Machine<P> {
             Err(fail) => return Err(self.fetch_fault(pc, fail)),
         };
         self.retired += 1;
-        self.exec(pc, instr)
+        let mut cycle = self.cycle;
+        let next_pc = self.exec::<false>(pc, &instr, &mut cycle);
+        self.cycle = cycle;
+        self.pc = next_pc?;
+        Ok(())
     }
 
     /// Stops the machine on a failed architectural fetch.
@@ -695,54 +1056,105 @@ impl<P: ExecPath> Machine<P> {
         }
     }
 
-    /// The single fetch+decode choke point shared by `step`, `speculate`
-    /// and `run_traced`.
+    /// The single-instruction fetch+decode choke point shared by `step`,
+    /// `speculate` and `run_traced`.
     ///
     /// Side-effect order matches the historical open-coded sites exactly:
     /// a permission fault reports before any icache activity; a decode
-    /// error reports after it. A predecode-cache hit short-circuits both
-    /// the permission walk and the decode, which is sound because every
-    /// code mutation (`poke`, store to an executable page, `set_perms`)
-    /// moves [`Memory::code_epoch`] and drops the cache. The hit stays
-    /// inline in the step loop; everything else is
-    /// [`Machine::fetch_decode_miss`].
+    /// error reports after it. On the fast path the instruction comes from
+    /// the block starting at `pc` ([`Machine::block_at`]), which skips
+    /// both the permission walk and the decode; an instruction that does
+    /// not fetch or decode is never cached, and takes
+    /// [`Machine::fetch_decode_uncached`], as every fetch on the reference
+    /// path does.
     #[inline(always)]
     fn fetch_decode(&mut self, pc: u64, mode: FetchMode) -> Result<Instr, FetchFail> {
-        if P::FAST {
-            let slot = DecodeCache::slot(pc);
-            if self.dcache.tags[slot] == pc && self.dcache.epoch == self.mem.code_epoch() {
-                let instr = self.dcache.instrs[slot];
-                if mode != FetchMode::Peek {
-                    self.icache_access(pc, mode);
-                }
-                return Ok(instr);
+        if let Some(slot) = self.block_at(pc) {
+            let instr = self.blocks.blocks[slot].instrs[0];
+            if mode != FetchMode::Peek {
+                self.icache_access(pc, mode);
             }
+            return Ok(instr);
         }
-        self.fetch_decode_miss(pc, mode)
+        self.fetch_decode_uncached(pc, mode)
     }
 
-    /// Decode-cache miss (or the reference path): drop a stale cache,
-    /// fetch through the permission check, count the icache access,
-    /// decode, and refill the slot.
+    /// Fetches through the permission check, counts the icache access and
+    /// decodes.
     #[cold]
     #[inline(never)]
-    fn fetch_decode_miss(&mut self, pc: u64, mode: FetchMode) -> Result<Instr, FetchFail> {
-        if P::FAST && self.dcache.epoch != self.mem.code_epoch() {
-            self.dcache.clear(self.mem.code_epoch());
-        }
+    fn fetch_decode_uncached(&mut self, pc: u64, mode: FetchMode) -> Result<Instr, FetchFail> {
         let mut bytes = [0u8; INSTR_BYTES];
         self.mem.fetch(pc, &mut bytes).map_err(FetchFail::Mem)?;
         if mode != FetchMode::Peek {
             self.icache_access(pc, mode);
         }
-        let instr = Instr::decode(&bytes).map_err(|_| FetchFail::Decode)?;
-        if P::FAST {
-            let slot = DecodeCache::slot(pc);
-            self.dcache.tags[slot] = pc;
-            self.dcache.instrs[slot] = instr;
-            self.dcache.fills += 1;
+        Instr::decode(&bytes).map_err(|_| FetchFail::Decode)
+    }
+
+    /// The slot of the cached block entered at `pc`, filled on a miss;
+    /// `None` on the reference path, or when the instruction at `pc` does
+    /// not fetch or decode. The hit stays inline in the step loop.
+    #[inline(always)]
+    fn block_at(&mut self, pc: u64) -> Option<usize> {
+        if !P::FAST {
+            return None;
         }
-        Ok(instr)
+        let slot = BlockCache::slot(pc);
+        if self.blocks.blocks[slot].entry == pc && self.blocks.epoch == self.mem.code_epoch() {
+            return Some(slot);
+        }
+        self.fill_block(pc)
+    }
+
+    /// Block-cache miss: drops a stale cache, then decodes the block
+    /// entered at `pc` into its slot, whose previous block is settled
+    /// first. The block ends after its first [`ends_block`] instruction,
+    /// at [`BLOCK_LEN`] instructions, or before the first instruction that
+    /// does not fetch or decode. Reads memory only, with no
+    /// microarchitectural effect: the instructions' L1i accesses happen as
+    /// they run.
+    #[cold]
+    #[inline(never)]
+    fn fill_block(&mut self, pc: u64) -> Option<usize> {
+        if self.blocks.epoch != self.mem.code_epoch() {
+            self.blocks.clear(self.mem.code_epoch(), &mut self.pmu);
+        }
+        let mut block = Block { entry: pc, ..Block::EMPTY };
+        let line_mask = !(self.caches.l1i().config().line_size - 1);
+        let mut at = pc;
+        while (block.len as usize) < BLOCK_LEN {
+            if block.len > 0 && at & line_mask == at.wrapping_sub(INSTR_BYTES as u64) & line_mask {
+                block.same_line |= 1 << block.len;
+            }
+            let mut bytes = [0u8; INSTR_BYTES];
+            let Some(instr) = self.mem.fetch(at, &mut bytes).ok().and_then(|()| Instr::decode(&bytes).ok())
+            else {
+                break;
+            };
+            block.instrs[block.len as usize] = instr;
+            block.len += 1;
+            for &event in static_events(instr) {
+                let n = block.n_events as usize;
+                match block.events[..n].iter_mut().find(|(e, _)| *e == event) {
+                    Some((_, count)) => *count += 1,
+                    None => {
+                        block.events[n] = (event, 1);
+                        block.n_events += 1;
+                    }
+                }
+            }
+            if ends_block(instr) {
+                break;
+            }
+            at = at.wrapping_add(INSTR_BYTES as u64);
+        }
+        if block.len == 0 {
+            return None;
+        }
+        let slot = BlockCache::slot(pc);
+        self.blocks.fill(slot, block, &mut self.pmu);
+        Some(slot)
     }
 
     /// The L1i access for a fetch at `pc`. A hit is counted for the next
@@ -750,22 +1162,26 @@ impl<P: ExecPath> Machine<P> {
     /// fetch pays its latency at once too.
     #[inline(always)]
     fn icache_access(&mut self, pc: u64, mode: FetchMode) {
-        let fetch = self.caches.access_instr(pc);
-        if fetch.l1_hit {
-            self.l1i_hits += 1;
-        } else {
-            self.pmu.incr(HpcEvent::L1iAccess);
-            self.pmu.incr(HpcEvent::L1iMiss);
-            if mode == FetchMode::Step {
-                self.tick(fetch.latency);
+        match self.caches.fetch_instr(pc) {
+            None => self.l1i_hits += 1,
+            Some(latency) => {
+                self.pmu.incr(HpcEvent::L1iAccess);
+                self.pmu.incr(HpcEvent::L1iMiss);
+                if mode == FetchMode::Step {
+                    self.cycle += latency;
+                }
             }
         }
     }
 
     /// The one settle point for the batched counters, run by
     /// [`Machine::pmu`] (and after every step on the reference path):
-    /// mirrors the L1 hit, cycle, instruction and eviction deltas.
+    /// mirrors the L1 hit, cycle, instruction and eviction deltas, and the
+    /// static events of the block runs counted since.
     fn settle(&mut self) {
+        if P::FAST {
+            self.blocks.settle(&mut self.pmu);
+        }
         let fetch_hits = std::mem::take(&mut self.l1i_hits);
         self.pmu.add(HpcEvent::L1iAccess, fetch_hits);
         self.pmu.add(HpcEvent::L1iHit, fetch_hits);
@@ -804,28 +1220,22 @@ impl<P: ExecPath> Machine<P> {
         self.stop_fault(fault)
     }
 
-    /// Advances time; [`Machine::settle`] mirrors it into
-    /// [`HpcEvent::Cycles`].
+    /// Stalls `cycle` until every register in `rs` holds a ready value.
     #[inline(always)]
-    fn tick(&mut self, n: u64) {
-        self.cycle += n;
-    }
-
-    /// Stalls until every register in `rs` holds a ready value.
-    #[inline(always)]
-    fn wait_ready(&mut self, rs: &[Reg]) {
+    fn wait_ready(&mut self, cycle: &mut u64, rs: &[Reg]) {
         let ready = rs.iter().map(|r| self.reg_ready[r.index()]).max().unwrap_or(0);
-        if ready > self.cycle {
-            let stall = ready - self.cycle;
+        if ready > *cycle {
+            let stall = ready - *cycle;
             self.pmu.add(HpcEvent::StallCyclesMem, stall);
-            self.tick(stall);
+            *cycle += stall;
         }
     }
 
-    /// Cycle at which a branch over `rs` can resolve.
-    fn resolve_cycle(&self, rs: &[Reg]) -> u64 {
+    /// Cycle at which a branch over `rs`, reached at `cycle`, can resolve.
+    #[inline(always)]
+    fn resolve_cycle(&self, cycle: u64, rs: &[Reg]) -> u64 {
         let ready = rs.iter().map(|r| self.reg_ready[r.index()]).max().unwrap_or(0);
-        ready.max(self.cycle) + BRANCH_RESOLVE_EXTRA
+        ready.max(cycle) + BRANCH_RESOLVE_EXTRA
     }
 
     /// Counts an L1d access: a hit for the next settle, a miss in the PMU
@@ -885,67 +1295,76 @@ impl<P: ExecPath> Machine<P> {
     }
 
     /// Executes one decoded instruction at `pc` (inlined into the step
-    /// loop). `Err` means the instruction stopped the machine.
+    /// loop) and returns the next PC. `Err` means the instruction stopped
+    /// the machine. Time is `cycle`, which the caller keeps in a local
+    /// (`self.cycle` is current only while a system call runs). When
+    /// `BATCHED` (inside a block run), the instruction's [`static_events`]
+    /// are left to the block's accounting.
     #[inline(always)]
-    fn exec(&mut self, pc: u64, instr: Instr) -> Result<(), Stopped> {
+    fn exec<const BATCHED: bool>(
+        &mut self,
+        pc: u64,
+        instr: &Instr,
+        cycle: &mut u64,
+    ) -> Result<u64, Stopped> {
         let mut next_pc = pc.wrapping_add(INSTR_BYTES as u64);
-        match instr {
-            Instr::Nop => self.tick(1),
+        match *instr {
+            Instr::Nop => *cycle += 1,
             Instr::Halt => {
-                self.tick(1);
+                *cycle += 1;
                 return Err(self.stop(ExitReason::Halted));
             }
             Instr::Ldi(rd, imm) => {
                 self.regs[rd.index()] = imm as i64 as u64;
-                self.reg_ready[rd.index()] = self.cycle;
-                self.pmu.incr(HpcEvent::MovOps);
-                self.tick(1);
+                self.reg_ready[rd.index()] = *cycle;
+                self.count::<BATCHED>(HpcEvent::MovOps);
+                *cycle += 1;
             }
             Instr::Ldih(rd, imm) => {
-                self.wait_ready(&[rd]);
+                self.wait_ready(cycle, &[rd]);
                 let low = self.regs[rd.index()] & 0xffff_ffff;
                 self.regs[rd.index()] = ((imm as u32 as u64) << 32) | low;
-                self.reg_ready[rd.index()] = self.cycle;
-                self.pmu.incr(HpcEvent::MovOps);
-                self.tick(1);
+                self.reg_ready[rd.index()] = *cycle;
+                self.count::<BATCHED>(HpcEvent::MovOps);
+                *cycle += 1;
             }
             Instr::Mov(rd, rs) => {
-                self.wait_ready(&[rs]);
+                self.wait_ready(cycle, &[rs]);
                 self.regs[rd.index()] = self.regs[rs.index()];
-                self.reg_ready[rd.index()] = self.cycle;
-                self.pmu.incr(HpcEvent::MovOps);
-                self.tick(1);
+                self.reg_ready[rd.index()] = *cycle;
+                self.count::<BATCHED>(HpcEvent::MovOps);
+                *cycle += 1;
             }
             Instr::Alu(op, rd, rs1, rs2) => {
-                self.wait_ready(&[rs1, rs2]);
+                self.wait_ready(cycle, &[rs1, rs2]);
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], self.regs[rs2.index()]);
-                self.count_alu(op);
-                self.tick(alu_latency(op));
-                self.reg_ready[rd.index()] = self.cycle;
+                self.count_alu::<BATCHED>(op);
+                *cycle += alu_latency(op);
+                self.reg_ready[rd.index()] = *cycle;
             }
             Instr::Alui(op, rd, rs1, imm) => {
-                self.wait_ready(&[rs1]);
+                self.wait_ready(cycle, &[rs1]);
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], imm as i64 as u64);
-                self.pmu.incr(HpcEvent::AluImmOps);
-                self.count_alu(op);
-                self.tick(alu_latency(op));
-                self.reg_ready[rd.index()] = self.cycle;
+                self.count::<BATCHED>(HpcEvent::AluImmOps);
+                self.count_alu::<BATCHED>(op);
+                *cycle += alu_latency(op);
+                self.reg_ready[rd.index()] = *cycle;
             }
             Instr::Ld(w, rd, rs1, imm) => {
-                self.wait_ready(&[rs1]);
+                self.wait_ready(cycle, &[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
                 let (value, latency) = match self.load_value(addr, w) {
                     Ok(v) => v,
                     Err(fault) => return Err(self.page_fault(fault)),
                 };
-                self.pmu.incr(HpcEvent::Loads);
+                self.count::<BATCHED>(HpcEvent::Loads);
                 match w {
-                    Width::B => self.pmu.incr(HpcEvent::LoadBytes),
-                    Width::D => self.pmu.incr(HpcEvent::LoadDwords),
+                    Width::B => self.count::<BATCHED>(HpcEvent::LoadBytes),
+                    Width::D => self.count::<BATCHED>(HpcEvent::LoadDwords),
                     Width::W => {}
                 }
                 self.regs[rd.index()] = value;
-                self.tick(1);
+                *cycle += 1;
                 // InvisiSpec: every committed load re-validates against
                 // the speculative buffer before exposure.
                 let penalty = if self.cfg.protect.invisispec {
@@ -954,24 +1373,24 @@ impl<P: ExecPath> Machine<P> {
                     0
                 };
                 // Non-blocking load: value arrives after the cache latency.
-                self.reg_ready[rd.index()] = self.cycle + latency + penalty;
+                self.reg_ready[rd.index()] = *cycle + latency + penalty;
             }
             Instr::St(w, rs1, rs2, imm) => {
-                self.wait_ready(&[rs1, rs2]);
+                self.wait_ready(cycle, &[rs1, rs2]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
                 if let Err(fault) = self.store_value(addr, w, self.regs[rs2.index()]) {
                     return Err(self.page_fault(fault));
                 }
-                self.pmu.incr(HpcEvent::Stores);
-                self.tick(1);
+                self.count::<BATCHED>(HpcEvent::Stores);
+                *cycle += 1;
             }
             Instr::Br(cond, rs1, rs2, imm) => {
                 let taken = cond.holds(self.regs[rs1.index()], self.regs[rs2.index()]);
                 let predicted = self.pred.pht.predict(pc);
-                let resolve_at = self.resolve_cycle(&[rs1, rs2]);
+                let resolve_at = self.resolve_cycle(*cycle, &[rs1, rs2]);
                 self.pred.pht.update(pc, taken);
-                self.pmu.incr(HpcEvent::BranchInstrs);
-                self.pmu.incr(HpcEvent::CondBranches);
+                self.count::<BATCHED>(HpcEvent::BranchInstrs);
+                self.count::<BATCHED>(HpcEvent::CondBranches);
                 self.pmu.incr(if taken {
                     HpcEvent::BranchTaken
                 } else {
@@ -983,57 +1402,57 @@ impl<P: ExecPath> Machine<P> {
                     // serializes the branch — no prediction benefit, no
                     // transient execution past it. Every branch stalls
                     // until it actually resolves.
-                    let stall = resolve_at.saturating_sub(self.cycle);
+                    let stall = resolve_at.saturating_sub(*cycle);
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick(stall);
+                    *cycle += stall;
                     self.pmu.incr(HpcEvent::Fences);
-                    self.tick(self.cfg.csf_fence_penalty);
+                    *cycle += self.cfg.csf_fence_penalty;
                     if predicted != taken {
                         self.pmu.incr(HpcEvent::BranchMispredicts);
                     }
                 } else if predicted == taken {
-                    self.tick(1);
+                    *cycle += 1;
                 } else {
                     self.pmu.incr(HpcEvent::BranchMispredicts);
                     let wrong = if predicted { target } else { next_pc };
-                    let budget = resolve_at.saturating_sub(self.cycle);
+                    let budget = resolve_at.saturating_sub(*cycle);
                     self.speculate_at(wrong, budget);
-                    let stall = resolve_at.saturating_sub(self.cycle) + self.cfg.mispredict_penalty;
+                    let stall = resolve_at.saturating_sub(*cycle) + self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick(stall);
+                    *cycle += stall;
                 }
                 if taken {
                     next_pc = target;
                 }
             }
             Instr::Jmp(imm) => {
-                self.pmu.incr(HpcEvent::BranchInstrs);
-                self.pmu.incr(HpcEvent::Jumps);
-                self.tick(1);
+                self.count::<BATCHED>(HpcEvent::BranchInstrs);
+                self.count::<BATCHED>(HpcEvent::Jumps);
+                *cycle += 1;
                 next_pc = pc.wrapping_add(imm as i64 as u64);
             }
             Instr::JmpR(rs) => {
-                self.pmu.incr(HpcEvent::BranchInstrs);
-                self.pmu.incr(HpcEvent::IndirectBranches);
+                self.count::<BATCHED>(HpcEvent::BranchInstrs);
+                self.count::<BATCHED>(HpcEvent::IndirectBranches);
                 let predicted = self.pred.btb.predict(pc);
-                let resolve_at = self.resolve_cycle(&[rs]);
-                self.wait_ready(&[rs]);
+                let resolve_at = self.resolve_cycle(*cycle, &[rs]);
+                self.wait_ready(cycle, &[rs]);
                 let target = self.regs[rs.index()];
                 self.pred.btb.update(pc, target);
                 if predicted == Some(target) {
-                    self.tick(1);
+                    *cycle += 1;
                 } else {
                     self.pmu.incr(HpcEvent::BtbMispredicts);
                     self.pmu.incr(HpcEvent::BranchMispredicts);
                     if let Some(wrong) = predicted {
                         if !self.cfg.protect.csf {
-                            let budget = resolve_at.saturating_sub(self.cycle);
+                            let budget = resolve_at.saturating_sub(*cycle);
                             self.speculate_at(wrong, budget);
                         }
                     }
                     let stall = self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick(stall);
+                    *cycle += stall;
                 }
                 next_pc = target;
             }
@@ -1044,13 +1463,13 @@ impl<P: ExecPath> Machine<P> {
                 if self.cfg.protect.shadow_stack {
                     self.shadow_stack.push(ret);
                 }
-                self.pmu.incr(HpcEvent::BranchInstrs);
-                self.pmu.incr(HpcEvent::Calls);
-                self.tick(1);
+                self.count::<BATCHED>(HpcEvent::BranchInstrs);
+                self.count::<BATCHED>(HpcEvent::Calls);
+                *cycle += 1;
                 next_pc = pc.wrapping_add(imm as i64 as u64);
             }
             Instr::CallR(rs) => {
-                self.wait_ready(&[rs]);
+                self.wait_ready(cycle, &[rs]);
                 let target = self.regs[rs.index()];
                 let ret = next_pc;
                 self.push_u64(ret)?;
@@ -1058,31 +1477,31 @@ impl<P: ExecPath> Machine<P> {
                 if self.cfg.protect.shadow_stack {
                     self.shadow_stack.push(ret);
                 }
-                self.pmu.incr(HpcEvent::BranchInstrs);
-                self.pmu.incr(HpcEvent::Calls);
-                self.pmu.incr(HpcEvent::IndirectBranches);
+                self.count::<BATCHED>(HpcEvent::BranchInstrs);
+                self.count::<BATCHED>(HpcEvent::Calls);
+                self.count::<BATCHED>(HpcEvent::IndirectBranches);
                 let predicted = self.pred.btb.predict(pc);
                 self.pred.btb.update(pc, target);
                 if predicted != Some(target) {
                     self.pmu.incr(HpcEvent::BtbMispredicts);
                 }
-                self.tick(1);
+                *cycle += 1;
                 next_pc = target;
             }
             Instr::Ret => {
-                self.wait_ready(&[Reg::SP]);
+                self.wait_ready(cycle, &[Reg::SP]);
                 let sp = self.regs[Reg::SP.index()];
                 let (target, latency) = match self.load_value(sp, Width::D) {
                     Ok(v) => v,
                     Err(fault) => return Err(self.page_fault(fault)),
                 };
                 self.regs[Reg::SP.index()] = sp.wrapping_add(8);
-                self.pmu.incr(HpcEvent::BranchInstrs);
-                self.pmu.incr(HpcEvent::Returns);
+                self.count::<BATCHED>(HpcEvent::BranchInstrs);
+                self.count::<BATCHED>(HpcEvent::Returns);
                 let predicted = self.pred.rsb.pop();
-                let resolve_at = self.cycle + latency + BRANCH_RESOLVE_EXTRA;
+                let resolve_at = *cycle + latency + BRANCH_RESOLVE_EXTRA;
                 if predicted == Some(target) {
-                    self.tick(1);
+                    *cycle += 1;
                 } else {
                     // RSB mispredict: transiently execute at the stale
                     // predicted return address (the Spectre-RSB surface; a
@@ -1091,13 +1510,13 @@ impl<P: ExecPath> Machine<P> {
                     self.pmu.incr(HpcEvent::BranchMispredicts);
                     if let Some(wrong) = predicted {
                         if !self.cfg.protect.csf {
-                            let budget = resolve_at.saturating_sub(self.cycle);
+                            let budget = resolve_at.saturating_sub(*cycle);
                             self.speculate_at(wrong, budget);
                         }
                     }
-                    let stall = resolve_at.saturating_sub(self.cycle) + self.cfg.mispredict_penalty;
+                    let stall = resolve_at.saturating_sub(*cycle) + self.cfg.mispredict_penalty;
                     self.pmu.add(HpcEvent::StallCyclesBranch, stall);
-                    self.tick(stall);
+                    *cycle += stall;
                 }
                 if self.cfg.protect.shadow_stack {
                     let expected = self.shadow_stack.pop().unwrap_or(0);
@@ -1108,14 +1527,14 @@ impl<P: ExecPath> Machine<P> {
                 next_pc = target;
             }
             Instr::Push(rs) => {
-                self.wait_ready(&[rs, Reg::SP]);
+                self.wait_ready(cycle, &[rs, Reg::SP]);
                 let value = self.regs[rs.index()];
                 self.push_u64(value)?;
-                self.pmu.incr(HpcEvent::Pushes);
-                self.tick(1);
+                self.count::<BATCHED>(HpcEvent::Pushes);
+                *cycle += 1;
             }
             Instr::Pop(rd) => {
-                self.wait_ready(&[Reg::SP]);
+                self.wait_ready(cycle, &[Reg::SP]);
                 let sp = self.regs[Reg::SP.index()];
                 let (value, latency) = match self.load_value(sp, Width::D) {
                     Ok(v) => v,
@@ -1123,61 +1542,70 @@ impl<P: ExecPath> Machine<P> {
                 };
                 self.regs[rd.index()] = value;
                 self.regs[Reg::SP.index()] = sp.wrapping_add(8);
-                self.pmu.incr(HpcEvent::Pops);
-                self.tick(1);
-                self.reg_ready[rd.index()] = self.cycle + latency;
+                self.count::<BATCHED>(HpcEvent::Pops);
+                *cycle += 1;
+                self.reg_ready[rd.index()] = *cycle + latency;
             }
             Instr::ClFlush(rs1, imm) => {
                 if !self.cfg.protect.clflush_enabled {
                     return Err(self.stop_fault(Fault::ClflushDisabled));
                 }
-                self.wait_ready(&[rs1]);
+                self.wait_ready(cycle, &[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
                 self.caches.flush_line(addr);
-                self.pmu.incr(HpcEvent::Flushes);
-                self.tick(4);
+                self.count::<BATCHED>(HpcEvent::Flushes);
+                *cycle += 4;
             }
             Instr::MFence => {
                 // Serialize: wait for every in-flight value.
                 let ready = self.reg_ready.iter().copied().max().unwrap_or(0);
-                if ready > self.cycle {
-                    let stall = ready - self.cycle;
+                if ready > *cycle {
+                    let stall = ready - *cycle;
                     self.pmu.add(HpcEvent::StallCyclesMem, stall);
-                    self.tick(stall);
+                    *cycle += stall;
                 }
-                self.pmu.incr(HpcEvent::Fences);
-                self.tick(3);
+                self.count::<BATCHED>(HpcEvent::Fences);
+                *cycle += 3;
             }
             Instr::Rdtsc(rd) => {
-                self.regs[rd.index()] = self.cycle;
-                self.reg_ready[rd.index()] = self.cycle;
-                self.pmu.incr(HpcEvent::Rdtscs);
-                self.tick(1);
+                self.regs[rd.index()] = *cycle;
+                self.reg_ready[rd.index()] = *cycle;
+                self.count::<BATCHED>(HpcEvent::Rdtscs);
+                *cycle += 1;
             }
             Instr::Syscall => {
                 // Serializing instruction.
                 let ready = self.reg_ready.iter().copied().max().unwrap_or(0);
-                if ready > self.cycle {
-                    let stall = ready - self.cycle;
-                    self.tick(stall);
+                if ready > *cycle {
+                    let stall = ready - *cycle;
+                    *cycle += stall;
                 }
-                self.pmu.incr(HpcEvent::Syscalls);
-                self.tick(SYSCALL_COST);
+                self.count::<BATCHED>(HpcEvent::Syscalls);
+                *cycle += SYSCALL_COST;
+                self.cycle = *cycle;
                 if let Some(new_pc) = self.do_syscall(next_pc)? {
                     next_pc = new_pc;
                 }
             }
         }
-        self.pc = next_pc;
-        Ok(())
+        Ok(next_pc)
     }
 
-    fn count_alu(&mut self, op: AluOp) {
-        self.pmu.incr(HpcEvent::AluOps);
+    /// Counts a static event, unless a block run batches it.
+    #[inline(always)]
+    fn count<const BATCHED: bool>(&mut self, event: HpcEvent) {
+        if !BATCHED {
+            self.pmu.incr(event);
+        }
+    }
+
+    #[inline(always)]
+    fn count_alu<const BATCHED: bool>(&mut self, op: AluOp) {
+        self.count::<BATCHED>(HpcEvent::AluOps);
         match op {
-            AluOp::Mul => self.pmu.incr(HpcEvent::MulOps),
-            AluOp::Divu | AluOp::Remu => self.pmu.incr(HpcEvent::DivOps),
-            AluOp::Shl | AluOp::Shr | AluOp::Sar => self.pmu.incr(HpcEvent::ShiftOps),
+            AluOp::Mul => self.count::<BATCHED>(HpcEvent::MulOps),
+            AluOp::Divu | AluOp::Remu => self.count::<BATCHED>(HpcEvent::DivOps),
+            AluOp::Shl | AluOp::Shr | AluOp::Sar => self.count::<BATCHED>(HpcEvent::ShiftOps),
             _ => {}
         }
     }
@@ -1274,6 +1702,9 @@ impl<P: ExecPath> Machine<P> {
         let mut ready = [0u64; 16];
         let mut store_buf: HashMap<u64, u8> = HashMap::new();
         let mut pc = start;
+        // The cached block and index of the instruction at `pc` while the
+        // path runs straight through a block, so it is not looked up again.
+        let mut cursor: Option<(usize, usize)> = None;
         let mut scycle: u64 = 0;
         let mut instrs: u64 = 0;
         // Spec-event counts accumulate locally and flush once at squash —
@@ -1286,13 +1717,23 @@ impl<P: ExecPath> Machine<P> {
             // Transient fetches still fill the instruction cache
             // (`FetchMode::Spec`); a fetch fault is suppressed, a decode
             // failure just ends the transient path.
-            let instr = match self.fetch_decode(pc, FetchMode::Spec) {
-                Ok(instr) => instr,
-                Err(FetchFail::Mem(_)) => {
-                    suppressed += 1;
-                    break;
+            let instr = match cursor {
+                Some((slot, i)) => {
+                    self.icache_access(pc, FetchMode::Spec);
+                    self.blocks.blocks[slot].instrs[i]
                 }
-                Err(FetchFail::Decode) => break,
+                None => match self.fetch_decode(pc, FetchMode::Spec) {
+                    Ok(instr) => {
+                        let slot = BlockCache::slot(pc);
+                        cursor = (P::FAST && self.blocks.blocks[slot].entry == pc).then_some((slot, 0));
+                        instr
+                    }
+                    Err(FetchFail::Mem(_)) => {
+                        suppressed += 1;
+                        break;
+                    }
+                    Err(FetchFail::Decode) => break,
+                },
             };
             instrs += 1;
             let mut next_pc = pc.wrapping_add(INSTR_BYTES as u64);
@@ -1442,6 +1883,11 @@ impl<P: ExecPath> Machine<P> {
                 }
             }
             scycle += 1;
+            cursor = cursor.filter(|&(slot, i)| {
+                next_pc == pc.wrapping_add(INSTR_BYTES as u64)
+                    && i + 1 < self.blocks.blocks[slot].len as usize
+            });
+            cursor = cursor.map(|(slot, i)| (slot, i + 1));
             pc = next_pc;
         }
         if instrs >= window {

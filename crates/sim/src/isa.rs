@@ -78,7 +78,11 @@ impl Reg {
     /// Returns the register's index in `0..16`.
     #[inline]
     pub fn index(self) -> usize {
-        self as usize
+        // The mask changes no register's index, but it tells the compiler
+        // the index is in bounds where a decoded instruction's register
+        // field no longer carries that fact: the step loop then indexes
+        // the register file with no bounds check.
+        self as usize & 15
     }
 
     /// Builds a register from an index.

@@ -128,10 +128,15 @@ pub struct Memory<P: ExecPath = Fast> {
     page_perms: Vec<Perms>,
     /// Index of the last page that passed a permission check, one slot per
     /// [`AccessKind`] (`Read`, `Write`, `Fetch` in declaration order).
-    /// `u64::MAX` marks an empty slot. Invalidated by [`Memory::set_perms`].
-    /// On the fast path, single-page accesses revalidate against it
-    /// instead of walking the permission table.
+    /// `u64::MAX` marks an empty slot. Invalidated by [`Memory::set_perms`],
+    /// and by [`Memory::materialise`] for the page it materialises. On the
+    /// fast path, single-page accesses revalidate against it instead of
+    /// walking the permission table.
     last_page: [Cell<u64>; 3],
+    /// Arena offset of each [`Memory::last_page`] slot's page (0, the zero
+    /// page, for a page never written), so a single-page access it
+    /// validates skips the `page_slot` lookup too.
+    last_base: [Cell<usize>; 3],
     /// Index of a page known to be writable *and not executable*: stores
     /// there can skip the self-modifying-code scan (no decoded instruction
     /// can depend on its bytes). `u64::MAX` = none; invalidated by
@@ -161,6 +166,7 @@ impl<P: ExecPath> Memory<P> {
             page_slot: vec![0; pages],
             page_perms: vec![Perms::NONE; pages],
             last_page: [Cell::new(NO_PAGE), Cell::new(NO_PAGE), Cell::new(NO_PAGE)],
+            last_base: [Cell::new(0), Cell::new(0), Cell::new(0)],
             nonx_write_page: Cell::new(NO_PAGE),
             code_epoch: 0,
             path: PhantomData,
@@ -258,9 +264,24 @@ impl<P: ExecPath> Memory<P> {
             page_addr += PAGE_SIZE;
         }
         if P::FAST && addr / PAGE_SIZE == end / PAGE_SIZE {
-            self.last_page[kind as usize].set(addr / PAGE_SIZE);
+            let page = addr / PAGE_SIZE;
+            self.last_page[kind as usize].set(page);
+            self.last_base[kind as usize].set(self.page_slot[page as usize] as usize * PAGE);
         }
         Ok(())
+    }
+
+    /// The arena offset of `[addr, addr + len)` when the fast path's cache
+    /// proves the access allowed: a nonempty range within the page of the
+    /// last access of `kind` that passed its check.
+    #[inline(always)]
+    fn cached_offset(&self, addr: u64, len: usize, kind: AccessKind) -> Option<usize> {
+        let offset = (addr % PAGE_SIZE) as usize;
+        (P::FAST
+            && len > 0
+            && offset + len <= PAGE
+            && self.last_page[kind as usize].get() == addr / PAGE_SIZE)
+            .then(|| self.last_base[kind as usize].get() + offset)
     }
 
     /// Reads `buf.len()` bytes from `addr`.
@@ -274,6 +295,10 @@ impl<P: ExecPath> Memory<P> {
     // guest loads ran the campaign trials ~5% slower.
     #[inline(always)]
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
+        if let Some(at) = self.cached_offset(addr, buf.len(), AccessKind::Read) {
+            buf.copy_from_slice(&self.arena[at..at + buf.len()]);
+            return Ok(());
+        }
         self.check(addr, buf.len() as u64, AccessKind::Read)?;
         self.copy_out(addr, buf);
         Ok(())
@@ -318,6 +343,22 @@ impl<P: ExecPath> Memory<P> {
         Ok(())
     }
 
+    /// Writes `N` bytes at `addr`, as [`Memory::write`]. Inline, at a
+    /// constant width, when the fast path's caches prove the store lands
+    /// in one writable page that is materialised and not executable (so no
+    /// code epoch moves); otherwise through [`Memory::write`].
+    #[inline(always)]
+    fn store<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), MemFault> {
+        if let Some(at) = self.cached_offset(addr, N, AccessKind::Write) {
+            // Arena offsets below `PAGE` are the zero page: never written.
+            if at >= PAGE && self.nonx_write_page.get() == addr / PAGE_SIZE {
+                self.arena[at..at + N].copy_from_slice(&bytes);
+                return Ok(());
+            }
+        }
+        self.write(addr, &bytes)
+    }
+
     /// Fetches instruction bytes: like [`Memory::read`] but requires execute
     /// permission (DEP enforcement point).
     ///
@@ -359,6 +400,12 @@ impl<P: ExecPath> Memory<P> {
         let slot = u32::try_from(self.arena.len() / PAGE).expect("arena page index fits u32");
         self.arena.resize(self.arena.len() + PAGE, 0);
         self.page_slot[page] = slot;
+        // A cached arena offset of this page points at the zero page.
+        for cached in &self.last_page {
+            if cached.get() == page as u64 {
+                cached.set(NO_PAGE);
+            }
+        }
         slot
     }
 
@@ -457,8 +504,9 @@ impl<P: ExecPath> Memory<P> {
     /// # Errors
     ///
     /// See [`Memory::write`].
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), MemFault> {
-        self.write(addr, &[value])
+        self.store(addr, [value])
     }
 
     /// Writes a little-endian `u32`.
@@ -466,8 +514,9 @@ impl<P: ExecPath> Memory<P> {
     /// # Errors
     ///
     /// See [`Memory::write`].
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, value: u32) -> Result<(), MemFault> {
-        self.write(addr, &value.to_le_bytes())
+        self.store(addr, value.to_le_bytes())
     }
 
     /// Writes a little-endian `u64`.
@@ -475,8 +524,9 @@ impl<P: ExecPath> Memory<P> {
     /// # Errors
     ///
     /// See [`Memory::write`].
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Result<(), MemFault> {
-        self.write(addr, &value.to_le_bytes())
+        self.store(addr, value.to_le_bytes())
     }
 
     /// Reads a NUL-terminated string of at most `max` bytes starting at

@@ -1,4 +1,4 @@
-//! The execution fast path must be invisible: a `Machine<Fast>` (decode
+//! The execution fast path must be invisible: a `Machine<Fast>` (block
 //! cache, the caches' hit batches, batched PMU counters, permission
 //! cache) and a `Machine<Reference>` built from the same configuration
 //! may never differ in a single architectural or microarchitectural
@@ -101,8 +101,8 @@ fn host_poke_of_already_executed_address_is_served_fresh() {
         ]))
         .unwrap();
     m.start(li.entry);
-    // Execute both instructions twice so every slot is warm in the
-    // predecode cache.
+    // Execute both instructions twice so both are warm in the block
+    // cache.
     for _ in 0..4 {
         assert_eq!(m.step(), StepStatus::Running);
     }
@@ -126,7 +126,7 @@ fn host_poke_of_already_executed_address_is_served_fresh() {
 
 #[test]
 fn transient_execution_sees_poked_code() {
-    // Speculation fetches through the same decode cache; a poke between
+    // Speculation fetches through the same block cache; a poke between
     // bursts must invalidate it there too.
     fn run<P: ExecPath>() -> ((PmuSnapshot, bool), u64, bool) {
         let mut m = Machine::new(MachineConfig::default().with_path::<P>());
@@ -272,14 +272,23 @@ fn call_ret_mix_over_64k_buffer_is_identical_fast_vs_slow() {
 #[test]
 fn only_the_fast_path_has_a_decode_cache() {
     // The loader's permission changes all precede the first fetch, so the
-    // 17 instructions decode once each, under one flush, and the 2000
-    // loop iterations run from the cache.
+    // blocks decode once each, under one flush, and the 2000 loop
+    // iterations run from the cache. Seven blocks: i0..i7 and i8..i11
+    // (eight instructions at most, the call ends the second), the leaf
+    // i15..i16, i12..i13 after the return, then the loop entered at i2:
+    // i2..i9 and i10..i11, and the final halt.
     let (mut fast, _) = mix_machine::<Fast>(2_000);
     fast.run();
-    assert_eq!(fast.decode_cache_stats(), (17, 1));
+    assert_eq!(fast.decode_cache_stats(), (7, 1));
+    // Every instruction ran inside a block, four per iteration: the
+    // first runs i0..i7 and i8..i11, the others i2..i9 and i10..i11, and
+    // each the leaf and i12..i13. The halt is one more.
+    assert_eq!(fast.blocks_run(), 4 * 2_000 + 1);
+    assert_eq!(fast.instructions(), 2 + 14 * 2_000 + 1);
     let (mut slow, _) = mix_machine::<Reference>(2_000);
     slow.run();
     assert_eq!(slow.decode_cache_stats(), (0, 0));
+    assert_eq!(slow.blocks_run(), 0);
     // A guest store into its own text drops the cache once more.
     assert_eq!(run_self_patching::<Fast>().decode_cache_stats().1, 2);
 }
@@ -468,4 +477,77 @@ fn run_traced_is_identical_on_both_paths() {
         assert!(fast.0.len() == limit || fast.0.last().unwrap().1 == Instr::Halt, "limit {limit}");
         assert!(fast.4.count(HpcEvent::Returns) > 0);
     }
+}
+
+/// The shape of the dispersal loop the generation-2 perturbations run: a
+/// six-instruction block (multiply, xor, add, the counter's decrement,
+/// the zero load and the back edge) taken `iters` times, then a halt.
+fn hash_loop_program(iters: i32) -> Vec<Instr> {
+    let b = INSTR_BYTES as i32;
+    vec![
+        /* i0 */ Instr::Ldi(Reg::R10, iters),
+        // top:
+        /* i1 */ Instr::Alui(AluOp::Mul, Reg::R9, Reg::R10, 0x0100_0193),
+        /* i2 */ Instr::Alui(AluOp::Xor, Reg::R9, Reg::R9, 0x5bd1),
+        /* i3 */ Instr::Alu(AluOp::Add, Reg::R9, Reg::R9, Reg::R9),
+        /* i4 */ Instr::Alui(AluOp::Sub, Reg::R10, Reg::R10, 1),
+        /* i5 */ Instr::Ldi(Reg::R0, 0),
+        /* i6 */ Instr::Br(BranchCond::Ne, Reg::R10, Reg::R0, -(5 * b)),
+        /* i7 */ Instr::Halt,
+    ]
+}
+
+/// A started machine about to run [`hash_loop_program`] under an
+/// instruction budget of `max_instructions`.
+fn hash_loop_machine<P: ExecPath>(iters: i32, max_instructions: u64) -> Machine<P> {
+    let cfg = MachineConfig { max_instructions, ..MachineConfig::default() };
+    let mut m = Machine::new(cfg.with_path::<P>());
+    let li = m.load(&image_from(&hash_loop_program(iters))).unwrap();
+    m.start(li.entry);
+    m
+}
+
+#[test]
+fn instruction_budget_inside_a_block_faults_on_the_same_instruction() {
+    // Budgets that end the run at every instruction of the first loop
+    // iterations, the blocks' middles included, and one that lets it halt.
+    fn run<P: ExecPath>(max_instructions: u64) -> (RunOutcome, (u64, Vec<u64>, u64, u64, PmuSnapshot)) {
+        let mut m = hash_loop_machine::<P>(100, max_instructions);
+        (m.run(), observe(&mut m))
+    }
+    for max_instructions in (1..=20).chain([1_000]) {
+        let fast = run::<Fast>(max_instructions);
+        let slow = run::<Reference>(max_instructions);
+        assert_eq!(fast, slow, "max_instructions {max_instructions}");
+        let (outcome, state) = fast;
+        if max_instructions < 1_000 {
+            assert_eq!(outcome.exit, ExitReason::Fault(Fault::MaxInstructions));
+            assert_eq!(state.3, max_instructions, "retired exactly the budget");
+        } else {
+            assert_eq!(outcome.exit, ExitReason::Halted);
+        }
+    }
+}
+
+#[test]
+fn run_until_every_limit_over_a_block_loop_matches_the_reference() {
+    // One window per cycle: every window edge falls inside a block, at
+    // every position of it, and each window's counter deltas must agree.
+    let mut fast = hash_loop_machine::<Fast>(40, u64::MAX);
+    let mut slow = hash_loop_machine::<Reference>(40, u64::MAX);
+    let (mut last_fast, mut last_slow) = (fast.pmu().snapshot(), slow.pmu().snapshot());
+    for limit in 1.. {
+        let exit = fast.run_until(limit);
+        assert_eq!(exit, slow.run_until(limit), "limit {limit}: exit");
+        let (now_fast, now_slow) = (fast.pmu().snapshot(), slow.pmu().snapshot());
+        assert_eq!(now_fast - last_fast, now_slow - last_slow, "limit {limit}: window deltas");
+        assert_eq!(observe(&mut fast), observe(&mut slow), "limit {limit}: state");
+        (last_fast, last_slow) = (now_fast, now_slow);
+        if exit.is_some() {
+            assert_eq!(exit, Some(ExitReason::Halted));
+            assert!(limit > 200, "the loop ran over many windows, got {limit}");
+            break;
+        }
+    }
+    assert!(fast.blocks_run() > 40, "the loop ran in blocks");
 }

@@ -1,18 +1,21 @@
 //! Property-based tests of the simulator's core invariants.
 
 use std::collections::BTreeSet;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+use cr_spectre_hpc::profiler::profile;
 use cr_spectre_sim::branch::{Counter, PatternHistoryTable, ReturnStackBuffer};
 use cr_spectre_sim::cache::{Cache, CacheConfig, CacheHierarchy, HierarchyConfig, Lookup};
 use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig, Reference};
-use cr_spectre_sim::cpu::Machine;
+use cr_spectre_sim::cpu::{sys, Machine, INFO_PAGE};
+use cr_spectre_sim::error::RunOutcome;
 use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
-use cr_spectre_sim::isa::{AluOp, Instr, Reg};
+use cr_spectre_sim::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
 use cr_spectre_sim::mem::{AccessKind, MemFault, Memory, Perms, PAGE_SIZE};
-use cr_spectre_sim::pmu::{HpcEvent, Pmu};
+use cr_spectre_sim::pmu::{HpcEvent, Pmu, PmuSnapshot};
 
 /// Everything one cache operation of a random stream shows: the lookup
 /// or probe result, then the hit, miss and eviction counts.
@@ -497,5 +500,357 @@ proptest! {
         prop_assert_eq!(out.instructions, ops.len() as u64 + 1);
         prop_assert_eq!(machine.pmu().count(HpcEvent::Instructions), out.instructions);
         prop_assert_eq!(machine.pmu().count(HpcEvent::Cycles), out.cycles);
+    }
+}
+
+/// A generated guest program's text, before its call and jump targets
+/// are laid out.
+struct GenProgram {
+    /// Whether the text is writable (DEP off): stores into it then patch
+    /// code instead of faulting, so they are made mostly elsewhere under
+    /// DEP.
+    writable_text: bool,
+    text: Vec<Instr>,
+    /// `(index, target)`: the instruction at `index` is a `Call` to, or an
+    /// `Alui(Add, r7, r13, _)` forming the address of, `target`.
+    fixups: Vec<(usize, Target)>,
+}
+
+/// Where a generated call or computed jump goes.
+#[derive(Clone, Copy)]
+enum Target {
+    /// A leaf that counts its calls in `r11`.
+    Leaf,
+    /// A function that recurses `r8` deep, past the 16-entry RSB.
+    Recurse,
+    /// The instruction at this index of the main body.
+    Main(usize),
+}
+
+const ALU_OPS: [AluOp; 11] = [
+    AluOp::Add,
+    AluOp::Sub,
+    AluOp::Mul,
+    AluOp::Divu,
+    AluOp::Remu,
+    AluOp::And,
+    AluOp::Or,
+    AluOp::Xor,
+    AluOp::Shl,
+    AluOp::Shr,
+    AluOp::Sar,
+];
+
+const WIDTHS: [Width; 3] = [Width::B, Width::W, Width::D];
+
+/// Bytes of the read-write data buffer the host passes in `r12`.
+const GEN_DATA: u64 = 2 * PAGE_SIZE;
+
+/// Register-use convention of generated code: `r0..=r7` are free for
+/// data, `r8..=r11` belong to the loop, recursion and leaf fragments,
+/// `r12` holds the data buffer, `r13` the text base and `r15` the stack
+/// pointer; generated code writes only its own registers.
+fn reg(index: u32) -> Reg {
+    Reg::from_index(index as u8).expect("register index below 16")
+}
+
+impl GenProgram {
+    fn push(&mut self, instr: Instr) {
+        self.text.push(instr);
+    }
+
+    /// A computation that writes one of `r0..=r7` and reads any register.
+    fn simple(&mut self, a: u32, b: u32) {
+        let (rd, rs, rt) = (reg(a % 8), reg(a / 8 % 14), reg(a / 128 % 14));
+        let imm = b as i32 >> (a % 24);
+        self.push(match a / 4096 % 6 {
+            0 => Instr::Alu(ALU_OPS[b as usize % ALU_OPS.len()], rd, rs, rt),
+            1 | 2 => Instr::Alui(ALU_OPS[b as usize % ALU_OPS.len()], rd, rs, imm),
+            3 => Instr::Ldi(rd, imm),
+            4 => Instr::Ldih(rd, imm),
+            _ => [Instr::Mov(rd, rs), Instr::Nop][b as usize % 2],
+        });
+    }
+
+    /// Appends a fragment chosen by `kind` (of `0..64`) with parameters
+    /// `a` and `b`: straight-line code, loads and stores, loops, calls
+    /// deeper than the RSB, `clflush`/`mfence`, `rdtsc`, branches that
+    /// mispredict, stores into the program's own text, system calls, and
+    /// now and then a fault.
+    fn fragment(&mut self, kind: u8, a: u32, b: u32) {
+        let at = self.text.len();
+        let b8 = INSTR_BYTES as i32;
+        match kind {
+            0..=15 => self.simple(a, b),
+            16..=19 => {
+                let off = (b as u64 % (GEN_DATA - 8)) as i32;
+                self.push(Instr::Ld(WIDTHS[a as usize % 3], reg(a / 4 % 8), Reg::R12, off));
+            }
+            20..=22 => {
+                let off = (b as u64 % (GEN_DATA - 8)) as i32;
+                self.push(Instr::St(WIDTHS[a as usize % 3], Reg::R12, reg(a / 4 % 14), off));
+            }
+            23 | 24 => {
+                // A data-dependent address within the buffer.
+                self.push(Instr::Alui(AluOp::And, Reg::R7, reg(a % 8), 0x1ff8));
+                self.push(Instr::Alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R12));
+                self.push(Instr::Ld(WIDTHS[b as usize % 3], reg(b / 4 % 7), Reg::R7, 0));
+            }
+            25 | 26 => {
+                self.push(Instr::Push(reg(a % 14)));
+                self.simple(b, a);
+                self.push(Instr::Pop(reg(b % 8)));
+            }
+            27..=36 => {
+                // A counted loop of up to seven body instructions, some of
+                // them loads and stores.
+                let body = 1 + a % 7;
+                self.push(Instr::Ldi(Reg::R10, 1 + (b % 200) as i32));
+                for i in 0..body {
+                    match (a >> (3 + i)) % 5 {
+                        0 => self.push(Instr::Ld(Width::D, reg(i % 8), Reg::R12, (8 * i) as i32)),
+                        1 => self.push(Instr::St(Width::W, Reg::R12, reg(i % 8), (64 * i) as i32)),
+                        _ => self.simple(a.rotate_left(i * 5), b.rotate_left(i * 7)),
+                    }
+                }
+                self.push(Instr::Alui(AluOp::Sub, Reg::R10, Reg::R10, 1));
+                self.push(Instr::Ldi(Reg::R9, 0));
+                self.push(Instr::Br(BranchCond::Ne, Reg::R10, Reg::R9, -((body as i32 + 2) * b8)));
+            }
+            37..=41 => {
+                // A branch on data (or on the clock) over 1..=3 instructions:
+                // it mispredicts now and then.
+                let skip = 1 + a % 3;
+                let src = if b.is_multiple_of(4) { Reg::R6 } else { reg(b % 8) };
+                if b.is_multiple_of(4) {
+                    self.push(Instr::Rdtsc(Reg::R6));
+                }
+                self.push(Instr::Alui(AluOp::And, Reg::R7, src, 1 << (a / 4 % 4)));
+                let cond = [BranchCond::Eq, BranchCond::Ne, BranchCond::Lt, BranchCond::Geu][b as usize / 4 % 4];
+                self.push(Instr::Br(cond, Reg::R7, Reg::R0, (skip as i32 + 1) * b8));
+                for i in 0..skip {
+                    self.simple(a.rotate_left(i * 3), b.rotate_left(i * 11));
+                }
+            }
+            42 | 43 => {
+                self.fixups.push((at, Target::Leaf));
+                self.push(Instr::Call(0));
+            }
+            44 | 45 => {
+                self.push(Instr::Ldi(Reg::R8, (a % 40) as i32));
+                self.fixups.push((at + 1, Target::Recurse));
+                self.push(Instr::Call(0));
+            }
+            46..=48 => self.push(match a % 3 {
+                // Flush a data line, the line of this very instruction, or
+                // another line of the program's text.
+                0 => Instr::ClFlush(Reg::R12, (b % 512) as i32 * 8),
+                1 => Instr::ClFlush(Reg::R13, at as i32 * b8),
+                _ => Instr::ClFlush(Reg::R13, (b % 512) as i32 * b8),
+            }),
+            49 | 50 => self.push(if a.is_multiple_of(2) { Instr::MFence } else { Instr::Rdtsc(reg(b % 8)) }),
+            51..=53 => {
+                // Store over the program's own text: the next instruction
+                // (inside the same block) or anywhere in the main body. A
+                // fault under DEP, self-modifying code without it.
+                let word = match a % 4 {
+                    0 => u64::from_le_bytes(Instr::Ldi(Reg::R5, b as i32).encode()),
+                    1 => u64::from_le_bytes(Instr::Nop.encode()),
+                    2 => u64::from_le_bytes(Instr::Alui(AluOp::Add, Reg::R4, Reg::R4, 1).encode()),
+                    // No such opcode: the patched instruction fails to decode.
+                    _ => 0xff,
+                };
+                self.push(Instr::Ldi(Reg::R6, word as u32 as i32));
+                self.push(Instr::Ldih(Reg::R6, (word >> 32) as u32 as i32));
+                let target = if a % 8 < 2 { b as usize % (at + 3) } else { at + 3 };
+                if self.writable_text || a.is_multiple_of(16) {
+                    self.push(Instr::St(Width::D, Reg::R13, Reg::R6, (target * INSTR_BYTES) as i32));
+                } else {
+                    self.push(Instr::St(Width::D, Reg::R12, Reg::R6, (target * INSTR_BYTES) as i32));
+                }
+                self.push(Instr::Ldi(Reg::R5, a as i32));
+            }
+            54 | 55 => {
+                let nr = [sys::GETRAND, sys::WRITE][a as usize % 2];
+                self.push(Instr::Ldi(Reg::R0, nr as i32));
+                self.push(Instr::Mov(Reg::R1, Reg::R12));
+                self.push(Instr::Ldi(Reg::R2, (b % 16) as i32));
+                self.push(Instr::Syscall);
+            }
+            56..=59 => {
+                // A computed jump or call: to the next instruction, or to the
+                // leaf.
+                self.fixups.push((at, if a.is_multiple_of(2) { Target::Main(at + 2) } else { Target::Leaf }));
+                self.push(Instr::Alui(AluOp::Add, Reg::R7, Reg::R13, 0));
+                self.push(if a.is_multiple_of(2) { Instr::JmpR(Reg::R7) } else { Instr::CallR(Reg::R7) });
+            }
+            60 if a.is_multiple_of(2) => {
+                // A call with the stack pivoted into the text, so its push
+                // overwrites the callee's first instruction (a write fault
+                // under DEP).
+                self.push(Instr::Mov(Reg::R14, Reg::SP));
+                self.fixups.push((at + 1, Target::Leaf));
+                self.push(Instr::Alui(AluOp::Add, Reg::SP, Reg::R13, 0));
+                self.push(Instr::Alui(AluOp::Add, Reg::SP, Reg::SP, b8));
+                self.fixups.push((at + 3, Target::Leaf));
+                self.push(Instr::Call(0));
+                self.push(Instr::Mov(Reg::SP, Reg::R14));
+            }
+            60 | 61 => {
+                // A return with no call: the RSB mispredicts, and a shadow
+                // stack faults.
+                self.fixups.push((at, Target::Main(at + 3)));
+                self.push(Instr::Alui(AluOp::Add, Reg::R7, Reg::R13, 0));
+                self.push(Instr::Push(Reg::R7));
+                self.push(Instr::Ret);
+            }
+            62 | 63 if !a.is_multiple_of(8) => self.simple(b, a),
+            _ => match a / 8 % 5 {
+                // Faults: a read of the guard page, a write to the read-only
+                // info page, a jump into the non-executable data buffer, a
+                // system call on whatever `r0` holds, a jump out of memory.
+                0 => {
+                    self.push(Instr::Ldi(Reg::R7, (b % 64) as i32));
+                    self.push(Instr::Ld(Width::W, Reg::R0, Reg::R7, 0));
+                }
+                1 => {
+                    self.push(Instr::Ldi(Reg::R7, INFO_PAGE as i32));
+                    self.push(Instr::St(Width::B, Reg::R7, Reg::R0, (b % 64) as i32));
+                }
+                2 => self.push(Instr::JmpR(Reg::R12)),
+                3 => self.push(Instr::Syscall),
+                _ => self.push(Instr::Jmp((1 << 28) + (b % 64) as i32 * b8)),
+            },
+        }
+    }
+
+    /// The finished text: the main body, a halt, then the leaf and the
+    /// recursive function, with every call and address fixed up.
+    fn finish(mut self) -> Vec<u8> {
+        self.push(Instr::Halt);
+        let leaf = self.text.len();
+        self.push(Instr::Alui(AluOp::Add, Reg::R11, Reg::R11, 1));
+        self.push(Instr::Ret);
+        let recurse = self.text.len();
+        self.push(Instr::Ldi(Reg::R9, 0));
+        self.push(Instr::Br(BranchCond::Eq, Reg::R8, Reg::R9, 3 * INSTR_BYTES as i32));
+        self.push(Instr::Alui(AluOp::Sub, Reg::R8, Reg::R8, 1));
+        self.push(Instr::Call(-(3 * INSTR_BYTES as i32)));
+        self.push(Instr::Ret);
+        for &(at, target) in &self.fixups {
+            let to = match target {
+                Target::Leaf => leaf,
+                Target::Recurse => recurse,
+                Target::Main(i) => i.min(leaf),
+            };
+            let offset = to as i32 * INSTR_BYTES as i32;
+            self.text[at] = match self.text[at] {
+                Instr::Call(_) => Instr::Call(offset - at as i32 * INSTR_BYTES as i32),
+                Instr::Alui(op, rd, rs, _) => Instr::Alui(op, rd, rs, offset),
+                other => other,
+            };
+        }
+        self.text.iter().flat_map(|i| i.encode()).collect()
+    }
+}
+
+/// A generated program and the machine it runs on.
+#[derive(Debug, Clone)]
+struct GenCase {
+    fragments: Vec<(u8, u32, u32)>,
+    /// Protections, budget, data and sampling interval, from one seed.
+    seed: u64,
+}
+
+impl GenCase {
+    fn text(&self) -> Vec<u8> {
+        let writable_text = !self.config::<Fast>().protect.dep;
+        let mut program = GenProgram { writable_text, text: Vec::new(), fixups: Vec::new() };
+        for &(kind, a, b) in &self.fragments {
+            program.fragment(kind, a, b);
+        }
+        program.finish()
+    }
+
+    fn config<P: ExecPath>(&self) -> MachineConfig<P> {
+        let s = self.seed;
+        let mut cfg = MachineConfig {
+            max_instructions: 1 + (s >> 8) % [40, 4_000, 40_000][(s >> 24) as usize % 3],
+            seed: s,
+            ..MachineConfig::default()
+        };
+        cfg.protect.dep = s & 1 == 0;
+        cfg.protect.shadow_stack = s & 6 == 0;
+        cfg.protect.csf = s & 0x18 == 0;
+        cfg.protect.invisispec = s & 0x60 == 0;
+        cfg.protect.clflush_enabled = s & 0x380 != 0;
+        cfg.with_path::<P>()
+    }
+
+    /// Sampling intervals from one cycle (every window edge inside a
+    /// block) to a few thousand.
+    fn interval(&self) -> u64 {
+        match (self.seed >> 40) % 4 {
+            0 => 1 + (self.seed >> 44) % 8,
+            1 => 1 + (self.seed >> 44) % 97,
+            _ => 1 + (self.seed >> 44) % 3_000,
+        }
+    }
+}
+
+/// Everything a run of a generated program shows: the outcome (exit,
+/// fault kind and address, instructions, cycles), every window's cycle
+/// stamp and 56 deltas, the registers and PC, a hash of the text, data
+/// and stack, and the guest's stdout.
+type GenRun = (RunOutcome, Vec<(u64, PmuSnapshot)>, Vec<u64>, u64, u64, Vec<u8>);
+
+fn run_generated<P: ExecPath>(case: &GenCase) -> GenRun {
+    let text = case.text();
+    let image = Image::new(
+        "gen",
+        vec![ImageSegment { name: ".text".into(), kind: SegKind::Text, offset: 0, bytes: text.clone() }],
+        0,
+    );
+    let mut m = Machine::new(case.config::<P>());
+    let data = m.alloc(GEN_DATA, Perms::RW);
+    let fill: Vec<u8> = (0..GEN_DATA).map(|i| (i.wrapping_mul(case.seed | 1) >> 7) as u8).collect();
+    m.mem_mut().poke(data, &fill);
+    let li = m.load(&image).expect("a generated program fits");
+    m.start(li.entry);
+    m.set_reg(Reg::R12, data);
+    m.set_reg(Reg::R13, li.base);
+    let trace = profile(&mut m, "gen", case.interval());
+    let windows = trace.samples.iter().map(|s| (s.at_cycle, s.deltas)).collect();
+    let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
+    let mut h = DefaultHasher::new();
+    m.mem().peek(li.base, text.len()).hash(&mut h);
+    m.mem().peek(data, GEN_DATA as usize).hash(&mut h);
+    let sp_top = m.initial_sp();
+    m.mem().peek(sp_top - PAGE_SIZE, PAGE_SIZE as usize).hash(&mut h);
+    (trace.outcome, windows, regs, m.pc(), h.finish(), m.stdout().to_vec())
+}
+
+proptest! {
+    /// Generated guest programs run identically on both execution paths
+    /// through the profiler: every window's 56 counter deltas, the exit
+    /// (fault kind and address included), registers, memory and output,
+    /// whatever the protections, the instruction budget and the sampling
+    /// interval, down to windows of one cycle that cut blocks anywhere.
+    #[test]
+    fn generated_programs_run_identically_on_both_paths(
+        fragments in proptest::collection::vec((0u8..64, any::<u32>(), any::<u32>()), 1..48),
+        seed in any::<u64>(),
+    ) {
+        let case = GenCase { fragments, seed };
+        let fast = run_generated::<Fast>(&case);
+        let slow = run_generated::<Reference>(&case);
+        prop_assert_eq!(&fast.0, &slow.0, "outcome of {:?}", case);
+        prop_assert_eq!(fast.1.len(), slow.1.len(), "window count of {:?}", case);
+        for (i, (got, want)) in fast.1.iter().zip(&slow.1).enumerate() {
+            prop_assert_eq!(got, want, "window {} of {:?}", i, case);
+        }
+        prop_assert_eq!(&fast.2[..], &slow.2[..], "registers of {:?}", case);
+        prop_assert_eq!((fast.3, fast.4), (slow.3, slow.4), "pc and memory of {:?}", case);
+        prop_assert_eq!(&fast.5, &slow.5, "stdout of {:?}", case);
     }
 }

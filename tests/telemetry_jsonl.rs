@@ -98,12 +98,22 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
                         "squashes",
                         "decode_fills",
                         "decode_flushes",
+                        "blocks_run",
                         "pages_touched",
                     ] {
                         assert!(fields.get(key).is_some(), "line {i}: no {key} field");
                     }
-                    let fills = fields.get("decode_fills").and_then(Value::as_f64);
-                    assert!(fills > Some(0.0), "line {i}: a profiled run fills the decode cache");
+                    let count = |key: &str| fields.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+                    assert!(count("decode_fills") > 0.0, "line {i}: a profiled run fills the block cache");
+                    // Every block run retires at least one instruction and at
+                    // most a block's eight, and nearly every instruction runs
+                    // inside a block, so the mean executed block length lies
+                    // within (1, 8].
+                    let mean_block = count("instructions") / count("blocks_run");
+                    assert!(
+                        mean_block > 1.0 && mean_block <= 8.0,
+                        "line {i}: mean executed block length {mean_block} outside (1, 8]"
+                    );
                     // Guest memory is sparse: a run touches some pages, never all.
                     let pages = fields.get("pages_touched").and_then(Value::as_f64).unwrap_or(0.0);
                     assert!(
