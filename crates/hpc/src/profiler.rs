@@ -114,6 +114,7 @@ pub fn profile<P: ExecPath>(machine: &mut Machine<P>, app: &str, interval: u64) 
         let (spec_instrs, squashes) =
             (pmu.count(HpcEvent::SpecInstrs), pmu.count(HpcEvent::SpecSquashes));
         let (decode_fills, decode_flushes) = machine.decode_cache_stats();
+        let (ff_jumps, ff_instrs) = machine.fast_forward_stats();
         span.field("app", app)
             .field("interval", interval)
             .field("windows", samples.len())
@@ -125,6 +126,9 @@ pub fn profile<P: ExecPath>(machine: &mut Machine<P>, app: &str, interval: u64) 
             .field("decode_fills", decode_fills)
             .field("decode_flushes", decode_flushes)
             .field("blocks_run", machine.blocks_run())
+            .field("spec_fills", machine.spec_fills())
+            .field("ff_jumps", ff_jumps)
+            .field("ff_instrs", ff_instrs)
             .field("pages_touched", machine.mem().resident_pages());
         if let Some(start) = wall_start {
             let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;

@@ -78,6 +78,11 @@ impl PatternHistoryTable {
         self.counters[self.index(pc)].taken()
     }
 
+    /// The counter the branch at `pc` reads.
+    pub(crate) fn counter(&self, pc: u64) -> Counter {
+        self.counters[self.index(pc)]
+    }
+
     /// Trains the entry for `pc` with the resolved direction.
     #[inline]
     pub fn update(&mut self, pc: u64, taken: bool) {

@@ -227,6 +227,31 @@ impl<P: ExecPath> Cache<P> {
         self.batch.last_seq[i] = self.batch.pending;
     }
 
+    /// Makes `hits` more batched hits on the lines from `first` to `last`
+    /// (addresses in the first and the last line), as that many repeats of
+    /// the latest round of hits would: a round that hit each of those
+    /// lines, its last hit on each line being its last on that line, and
+    /// no other line. Each line's last hit and the batch move on by
+    /// `hits`, so the LRU stamps come out as the repeated hits would
+    /// leave them. Returns `false`, changing nothing, unless every line
+    /// is tracked with a batched hit. Fast path only.
+    pub(crate) fn repeat_hits(&mut self, first: u64, last: u64, hits: u64) -> bool {
+        let step = self.config.line_size as usize;
+        let lines = (self.line_addr(first)..=self.line_addr(last)).step_by(step);
+        let tracked = |line| {
+            let i = Self::entry(line);
+            self.batch.lines[i] == line && self.batch.last_seq[i] > 0
+        };
+        if !P::FAST || !lines.clone().all(tracked) {
+            return false;
+        }
+        for line in lines {
+            self.batch.last_seq[Self::entry(line)] += hits;
+        }
+        self.batch.pending += hits;
+        true
+    }
+
     /// The rest of [`Cache::access`]: a hit found in the set, which the
     /// fast path starts to track, or a miss, which applies the batch
     /// before it fills.
@@ -494,6 +519,12 @@ impl<P: ExecPath> CacheHierarchy<P> {
     #[inline(always)]
     pub(crate) fn refetch_instr(&mut self, addr: u64) {
         self.l1i.rehit(addr);
+    }
+
+    /// Repeats the latest round of L1i hits on the lines from `first` to
+    /// `last` until `hits` more are made (see [`Cache::repeat_hits`]).
+    pub(crate) fn repeat_instr_hits(&mut self, first: u64, last: u64, hits: u64) -> bool {
+        self.l1i.repeat_hits(first, last, hits)
     }
 
     /// The L2 half of an access that missed an L1 whose hit latency is

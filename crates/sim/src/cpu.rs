@@ -33,10 +33,10 @@ use crate::cache::CacheHierarchy;
 use crate::config::{ExecPath, Fast, MachineConfig};
 use crate::error::{ExitReason, Fault, RunOutcome};
 use crate::image::{Image, LoadedImage, SegKind};
-use crate::isa::{AluOp, Instr, Reg, Width, INSTR_BYTES};
+use crate::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
 use crate::mem::{Memory, Perms, PAGE_SIZE};
 use crate::pmu::{HpcEvent, Pmu};
-use crate::branch::Predictor;
+use crate::branch::{Counter, Predictor};
 use cr_spectre_telemetry as telemetry;
 
 /// System-call numbers understood by the machine.
@@ -115,6 +115,9 @@ struct Block {
     /// entries valid.
     events: [(HpcEvent, u8); BLOCK_EVENTS],
     n_events: u8,
+    /// Set when the block is a counted self-loop whose iterations
+    /// [`Machine::fast_forward`] may skip (see [`loop_shape`]).
+    shape: Option<LoopShape>,
 }
 
 impl Block {
@@ -126,6 +129,7 @@ impl Block {
         same_line: 0,
         events: [(HpcEvent::Instructions, 0); BLOCK_EVENTS],
         n_events: 0,
+        shape: None,
     };
 
     /// Adds `runs` complete runs' static events to `pmu`.
@@ -166,6 +170,8 @@ struct BlockCache {
     /// Blocks filled and whole-cache drops (epoch changes) so far.
     fills: u64,
     flushes: u64,
+    /// The fills made on transient paths, counted in `fills` too.
+    spec_fills: u64,
 }
 
 impl BlockCache {
@@ -178,6 +184,7 @@ impl BlockCache {
             runs_settled: 0,
             fills: 0,
             flushes: 0,
+            spec_fills: 0,
         }
     }
 
@@ -297,6 +304,181 @@ fn static_events(instr: Instr) -> &'static [HpcEvent] {
     }
 }
 
+/// What [`Machine::fast_forward`] needs of a block that is a counted
+/// self-loop, found once by [`loop_shape`] when the block is filled.
+#[derive(Debug, Clone, Copy)]
+struct LoopShape {
+    /// The back edge's condition: `Ne` or an ordered one.
+    cond: BranchCond,
+    /// The register the body steps by `stride` once per iteration.
+    counter: Reg,
+    /// The branch's other operand: never written by the body, or last set
+    /// by an `Ldi`, so it holds the bound at every back edge.
+    bound: Reg,
+    /// Whether the counter is the branch's left operand.
+    counter_lhs: bool,
+    stride: i32,
+}
+
+impl LoopShape {
+    /// How many more times, at least, the branch is taken, from a back
+    /// edge where the counter holds `c` and the bound `b`. Iterations go
+    /// on while the branch, just taken, holds; the first whose branch
+    /// falls through is the exit, which is not counted. An ordered
+    /// condition counts the steps before the counter passes the bound:
+    /// each of them stays on the taken side, so within its range. If the
+    /// next step wraps the counter instead, the loop may go on past that,
+    /// and a later back edge counts again.
+    fn taken_left(&self, c: u64, b: u64) -> u64 {
+        let stride = self.stride as i128;
+        if self.cond == BranchCond::Ne {
+            // Taken at `c != b`: the counter reaches the bound, modulo
+            // 2^64, after `gap` steps of ±1.
+            let gap = if stride > 0 { b.wrapping_sub(c) } else { c.wrapping_sub(b) };
+            return gap.saturating_sub(1);
+        }
+        let (x, y) = if matches!(self.cond, BranchCond::Lt | BranchCond::Ge) {
+            (c as i64 as i128, b as i64 as i128)
+        } else {
+            (c as i128, b as i128)
+        };
+        // `Lt` excludes the bound from the taken side, `Ge` includes it.
+        let strict = matches!(self.cond, BranchCond::Lt | BranchCond::Ltu);
+        let (dist, step) = if strict == self.counter_lhs { (y - x, stride) } else { (x - y, -stride) };
+        if step <= 0 || dist < strict as i128 {
+            return 0;
+        }
+        let exit = if strict { (dist + step - 1) / step } else { dist / step + 1 };
+        u64::try_from(exit - 1).unwrap_or(u64::MAX)
+    }
+}
+
+fn reg_bit(r: Reg) -> u16 {
+    1 << r.index()
+}
+
+/// The shape of the block `instrs`, entered at `entry`, when it is a
+/// counted self-loop whose iterations [`Machine::fast_forward`] can skip
+/// exactly:
+///
+/// * it ends in a `Br` whose taken target is `entry`;
+/// * its body is `Nop`, `Ldi`, `Ldih`, `Mov`, `Alu` and `Alui` only, whose
+///   register reads and writes are their operand fields and whose timing
+///   does not depend on values;
+/// * one branch operand, the counter, is written only by an `Alui Add|Sub
+///   c, c, imm`; the other, the bound, is never written or last set by an
+///   `Ldi`;
+/// * no register but the counter is both written and read before it is
+///   written, so an iteration recomputes everything it writes from the
+///   counter and loop invariants;
+/// * the exit has a closed form: `Ne` steps the counter by ±1, the
+///   ordered conditions step it towards the bound. (`Eq` never qualifies:
+///   a counter that moves is equal to the bound at most one back edge in
+///   a row, so such a loop has no steady state to skip.)
+fn loop_shape(entry: u64, instrs: &[Instr]) -> Option<LoopShape> {
+    let (&Instr::Br(cond, rs1, rs2, offset), body) = instrs.split_last()? else {
+        return None;
+    };
+    let branch_pc = entry.wrapping_add((body.len() * INSTR_BYTES) as u64);
+    if branch_pc.wrapping_add(offset as i64 as u64) != entry {
+        return None;
+    }
+    // Registers read before written, written, and written more than once.
+    let (mut reads, mut writes, mut rewrites) = (0u16, 0u16, 0u16);
+    // Each register's last writer in the body.
+    let mut last_write = [None; 16];
+    for &instr in body {
+        let (rd, srcs) = match instr {
+            Instr::Nop => continue,
+            Instr::Ldi(rd, _) => (rd, [None, None]),
+            Instr::Ldih(rd, _) => (rd, [Some(rd), None]),
+            Instr::Mov(rd, rs) => (rd, [Some(rs), None]),
+            Instr::Alu(_, rd, a, b) => (rd, [Some(a), Some(b)]),
+            Instr::Alui(_, rd, a, _) => (rd, [Some(a), None]),
+            _ => return None,
+        };
+        for r in srcs.into_iter().flatten() {
+            reads |= reg_bit(r) & !writes;
+        }
+        rewrites |= writes & reg_bit(rd);
+        writes |= reg_bit(rd);
+        last_write[rd.index()] = Some(instr);
+    }
+    reads |= (reg_bit(rs1) | reg_bit(rs2)) & !writes;
+    let (counter, bound, counter_lhs, stride) = [(rs1, rs2, true), (rs2, rs1, false)]
+        .into_iter()
+        .find_map(|(c, b, lhs)| {
+            let stride = match last_write[c.index()]? {
+                Instr::Alui(AluOp::Add, rd, rs, imm) if rd == c && rs == c => imm,
+                Instr::Alui(AluOp::Sub, rd, rs, imm) if rd == c && rs == c => imm.checked_neg()?,
+                _ => return None,
+            };
+            (b != c && rewrites & reg_bit(c) == 0).then_some((c, b, lhs, stride))
+        })?;
+    if reads & writes & !reg_bit(counter) != 0
+        || last_write[bound.index()].is_some_and(|instr| !matches!(instr, Instr::Ldi(..)))
+    {
+        return None;
+    }
+    let closed_form = match cond {
+        BranchCond::Eq => false,
+        BranchCond::Ne => stride.unsigned_abs() == 1,
+        // Taken while the counter is below the bound: it must climb.
+        _ => {
+            let climbing = matches!(cond, BranchCond::Lt | BranchCond::Ltu) == counter_lhs;
+            stride != 0 && (stride > 0) == climbing
+        }
+    };
+    closed_form.then_some(LoopShape { cond, counter, bound, counter_lhs, stride })
+}
+
+/// The dynamic PMU events one iteration of a counted loop can count in
+/// its steady state. The static ones are batched with the block's runs.
+const LOOP_EVENTS: [HpcEvent; 4] = [
+    HpcEvent::BranchTaken,
+    HpcEvent::StallCyclesMem,
+    HpcEvent::StallCyclesBranch,
+    HpcEvent::Fences,
+];
+
+/// The state of a counted loop at its latest back edge, which the next
+/// back edge compares itself with (see [`Machine::fast_forward`]).
+#[derive(Debug, Clone)]
+struct LoopMark {
+    /// The loop's block slot; `usize::MAX` before any back edge.
+    slot: usize,
+    retired: u64,
+    cycle: u64,
+    l1i_misses: u64,
+    /// The [`LOOP_EVENTS`] counts.
+    events: [u64; LOOP_EVENTS.len()],
+}
+
+/// The loop fast-forward's state and statistics.
+#[derive(Debug, Clone)]
+struct FastForward {
+    mark: LoopMark,
+    /// Jumps made and the instructions they skipped.
+    jumps: u64,
+    instrs: u64,
+}
+
+impl FastForward {
+    fn new() -> FastForward {
+        FastForward {
+            mark: LoopMark {
+                slot: usize::MAX,
+                retired: 0,
+                cycle: 0,
+                l1i_misses: 0,
+                events: [0; LOOP_EVENTS.len()],
+            },
+            jumps: 0,
+            instrs: 0,
+        }
+    }
+}
+
 /// Who is asking for an instruction; decides which side effects
 /// [`Machine::fetch_decode`] performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -389,6 +571,8 @@ pub struct Machine<P: ExecPath = Fast> {
     /// Loads and stores that hit the L1d since the last settle, each
     /// worth `L1dAccess` + `L1dHit` + `TotalCacheAccess`.
     l1d_hits: u64,
+    /// Counted loops' latest back edge, and the iterations skipped.
+    ff: FastForward,
 }
 
 impl<P: ExecPath> Machine<P> {
@@ -437,6 +621,7 @@ impl<P: ExecPath> Machine<P> {
             instrs_flushed: 0,
             l1i_hits: 0,
             l1d_hits: 0,
+            ff: FastForward::new(),
             mem,
             cfg,
         }
@@ -711,6 +896,22 @@ impl<P: ExecPath> Machine<P> {
         self.blocks.runs()
     }
 
+    /// Block fills made on transient paths so far, counted in
+    /// [`Machine::decode_cache_stats`]' fills too (a host-side statistic;
+    /// 0 on the reference path).
+    pub fn spec_fills(&self) -> u64 {
+        self.blocks.spec_fills
+    }
+
+    /// Loop fast-forward `(jumps, instructions)` so far: the jumps over
+    /// the steady-state iterations of counted loops, and the instructions
+    /// they retired without interpreting them, counted in
+    /// [`Machine::instructions`] too. Host-side statistics, never PMU
+    /// events, and both 0 on the reference path.
+    pub fn fast_forward_stats(&self) -> (u64, u64) {
+        (self.ff.jumps, self.ff.instrs)
+    }
+
     // ---------------------------------------------------------------
     // Execution
     // ---------------------------------------------------------------
@@ -850,6 +1051,7 @@ impl<P: ExecPath> Machine<P> {
             if cycle >= cycle_limit {
                 break;
             }
+            let from = slot;
             slot = BlockCache::slot(pc);
             let next = &self.blocks.blocks[slot];
             if next.entry != pc
@@ -857,6 +1059,14 @@ impl<P: ExecPath> Machine<P> {
                 || max_instructions - retired < next.len as u64
             {
                 break;
+            }
+            // A counted loop's back edge: it may skip iterations.
+            if slot == from && next.shape.is_some() {
+                let (instrs, cycles) =
+                    self.fast_forward(slot, cycle, retired, cycle_limit, max_instructions);
+                retired += instrs;
+                hits += instrs;
+                cycle += cycles;
             }
         }
         self.pc = pc;
@@ -946,6 +1156,94 @@ impl<P: ExecPath> Machine<P> {
         self.pc = pc;
     }
 
+    /// The back edge of the counted loop in `slot` (see [`loop_shape`]),
+    /// just taken at `cycle` with `retired` instructions retired: skips
+    /// whole iterations once the loop is in a steady state, and returns
+    /// the instructions and cycles skipped, for the block loop's locals.
+    ///
+    /// Each back edge is compared with the one before ([`LoopMark`]). The
+    /// loop is steady when the iteration between them hit the L1i on
+    /// every fetch and found its branch predicted taken (the counter is
+    /// now `StrongTaken`, so it stays so). Its timing depends on nothing
+    /// else, so each next iteration repeats it: the same `d` cycles,
+    /// fetches and events. Register readiness needs no check. A register
+    /// the body writes is ready when the instruction writing it ends, so
+    /// at every back edge, and no timing rule tells two ready values
+    /// apart. A register the body reads first was waited for by the
+    /// iteration before, unless only the branch reads it, which waits for
+    /// it under CSF and otherwise, predicted right, does not.
+    ///
+    /// The machine then jumps `k` iterations: the counter steps `k` times;
+    /// the cycle moves by `k × d`; `retired`, the L1i hits (the hit batch
+    /// and its LRU stamps too) and the block's runs by `k` iterations'
+    /// worth; the dynamic events by `k` times the last iteration's. The
+    /// other registers the body writes keep the last iteration's values:
+    /// they are dead at the top of an iteration, which recomputes them
+    /// from the counter and invariants.
+    ///
+    /// `k` leaves at least one whole taken iteration to the interpreter
+    /// before the exit, before `cycle_limit` and before the instruction
+    /// budget. So those registers are exact again wherever the run next
+    /// stops or leaves the loop, and the mispredicted exit, a window edge
+    /// inside an iteration and the budget fault run as they always do.
+    #[cold]
+    #[inline(never)]
+    fn fast_forward(
+        &mut self,
+        slot: usize,
+        cycle: u64,
+        retired: u64,
+        cycle_limit: u64,
+        max_instructions: u64,
+    ) -> (u64, u64) {
+        let block = &self.blocks.blocks[slot];
+        let shape = block.shape.expect("a counted loop");
+        let (entry, len) = (block.entry, block.len as u64);
+        let now = LoopMark {
+            slot,
+            retired,
+            cycle,
+            l1i_misses: self.caches.l1i().misses(),
+            events: LOOP_EVENTS.map(|event| self.pmu.count(event)),
+        };
+        let last = std::mem::replace(&mut self.ff.mark, now);
+        let branch_pc = entry + (len - 1) * INSTR_BYTES as u64;
+        // Only one block run separates the marks when `len` instructions
+        // retired between them: the block loop takes a mark only where it
+        // goes on to run the loop's block, and an iteration left early
+        // finishes in another block.
+        let steady = last.slot == slot
+            && last.retired + len == retired
+            && last.l1i_misses == self.ff.mark.l1i_misses
+            && self.pred.pht.counter(branch_pc) == Counter::StrongTaken;
+        if !steady {
+            return (0, 0);
+        }
+        let d = cycle - last.cycle;
+        let k = shape
+            .taken_left(self.regs[shape.counter.index()], self.regs[shape.bound.index()])
+            .saturating_sub(1)
+            .min(((cycle_limit - 1 - cycle) / d).saturating_sub(1))
+            .min(((max_instructions - retired) / len).saturating_sub(1));
+        if k == 0 || !self.caches.repeat_instr_hits(entry, branch_pc, k * len) {
+            return (0, 0);
+        }
+        let c = &mut self.regs[shape.counter.index()];
+        *c = c.wrapping_add(k.wrapping_mul(shape.stride as i64 as u64));
+        let mark = &mut self.ff.mark;
+        for (i, &event) in LOOP_EVENTS.iter().enumerate() {
+            let per_iteration = mark.events[i] - last.events[i];
+            self.pmu.add(event, k * per_iteration);
+            mark.events[i] += k * per_iteration;
+        }
+        mark.retired += k * len;
+        mark.cycle += k * d;
+        self.blocks.blocks[slot].runs += k;
+        self.ff.jumps += 1;
+        self.ff.instrs += k * len;
+        (k * len, k * d)
+    }
+
     /// Publishes this machine's cumulative PMU and cache activity to the
     /// global telemetry layer (counters under `sim.*`).
     ///
@@ -971,6 +1269,9 @@ impl<P: ExecPath> Machine<P> {
         let (fills, flushes) = self.decode_cache_stats();
         telemetry::counter("sim.decode_fills", fills);
         telemetry::counter("sim.decode_flushes", flushes);
+        let (jumps, skipped) = self.fast_forward_stats();
+        telemetry::counter("sim.ff_jumps", jumps);
+        telemetry::counter("sim.ff_instrs", skipped);
         telemetry::counter("sim.pages_touched", self.mem.resident_pages() as u64);
         self.caches.emit_telemetry();
     }
@@ -1152,6 +1453,7 @@ impl<P: ExecPath> Machine<P> {
         if block.len == 0 {
             return None;
         }
+        block.shape = loop_shape(pc, &block.instrs[..block.len as usize]);
         let slot = BlockCache::slot(pc);
         self.blocks.fill(slot, block, &mut self.pmu);
         Some(slot)
@@ -1713,6 +2015,7 @@ impl<P: ExecPath> Machine<P> {
         let mut stores: u64 = 0;
         let mut suppressed: u64 = 0;
         let window = self.cfg.spec_window;
+        let fills = self.blocks.fills;
         while scycle < budget && instrs < window {
             // Transient fetches still fill the instruction cache
             // (`FetchMode::Spec`); a fetch fault is suppressed, a decode
@@ -1898,6 +2201,7 @@ impl<P: ExecPath> Machine<P> {
         self.pmu.add(HpcEvent::SpecStores, stores);
         self.pmu.add(HpcEvent::SpecFaultsSuppressed, suppressed);
         self.pmu.incr(HpcEvent::SpecSquashes);
+        self.blocks.spec_fills += self.blocks.fills - fills;
         // Squash: regs/ready/store_buf are dropped; cache + PMU persist.
     }
 

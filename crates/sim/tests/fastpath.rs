@@ -479,30 +479,51 @@ fn run_traced_is_identical_on_both_paths() {
     }
 }
 
-/// The shape of the dispersal loop the generation-2 perturbations run: a
-/// six-instruction block (multiply, xor, add, the counter's decrement,
-/// the zero load and the back edge) taken `iters` times, then a halt.
-fn hash_loop_program(iters: i32) -> Vec<Instr> {
-    let b = INSTR_BYTES as i32;
-    vec![
-        /* i0 */ Instr::Ldi(Reg::R10, iters),
-        // top:
-        /* i1 */ Instr::Alui(AluOp::Mul, Reg::R9, Reg::R10, 0x0100_0193),
-        /* i2 */ Instr::Alui(AluOp::Xor, Reg::R9, Reg::R9, 0x5bd1),
-        /* i3 */ Instr::Alu(AluOp::Add, Reg::R9, Reg::R9, Reg::R9),
-        /* i4 */ Instr::Alui(AluOp::Sub, Reg::R10, Reg::R10, 1),
-        /* i5 */ Instr::Ldi(Reg::R0, 0),
-        /* i6 */ Instr::Br(BranchCond::Ne, Reg::R10, Reg::R0, -(5 * b)),
-        /* i7 */ Instr::Halt,
-    ]
+/// The two dispersal loops CR-Spectre's perturbations run, exactly as
+/// the perturbation emitter writes them: the bare delay loop and the
+/// hash-camouflage loop of the generation-2 perturbations.
+#[derive(Debug, Clone, Copy)]
+enum Dispersal {
+    Bare,
+    Hash,
 }
 
-/// A started machine about to run [`hash_loop_program`] under an
-/// instruction budget of `max_instructions`.
-fn hash_loop_machine<P: ExecPath>(iters: i32, max_instructions: u64) -> Machine<P> {
+/// `rounds` rounds of `trips` dispersal iterations of `shape`, then a
+/// halt, with the emitter's register use: `r10` counts down to the `r0`
+/// it zeroes every iteration, and the outer loop counts `r1` up to the
+/// `r9` it sets. A hash iteration is one six-instruction block (multiply,
+/// xor, add, the counter's decrement, the zero load and the back edge).
+fn hash_loop_program(shape: Dispersal, trips: i32, rounds: i32) -> Vec<Instr> {
+    let b = INSTR_BYTES as i32;
+    let body = match shape {
+        Dispersal::Bare => vec![],
+        Dispersal::Hash => vec![
+            Instr::Alui(AluOp::Mul, Reg::R9, Reg::R10, 0x0100_0193),
+            Instr::Alui(AluOp::Xor, Reg::R9, Reg::R9, 0x5bd1),
+            Instr::Alu(AluOp::Add, Reg::R9, Reg::R9, Reg::R9),
+        ],
+    };
+    let inner = body.len() as i32 + 3;
+    let mut text = vec![Instr::Ldi(Reg::R1, 0), Instr::Ldi(Reg::R10, trips)];
+    text.extend(body);
+    text.extend([
+        Instr::Alui(AluOp::Sub, Reg::R10, Reg::R10, 1),
+        Instr::Ldi(Reg::R0, 0),
+        Instr::Br(BranchCond::Ne, Reg::R10, Reg::R0, -((inner - 1) * b)),
+        Instr::Alui(AluOp::Add, Reg::R1, Reg::R1, 1),
+        Instr::Ldi(Reg::R9, rounds),
+        Instr::Br(BranchCond::Lt, Reg::R1, Reg::R9, -((inner + 3) * b)),
+        Instr::Halt,
+    ]);
+    text
+}
+
+/// A started machine about to run `text` under an instruction budget of
+/// `max_instructions`.
+fn loop_machine<P: ExecPath>(text: &[Instr], max_instructions: u64) -> Machine<P> {
     let cfg = MachineConfig { max_instructions, ..MachineConfig::default() };
     let mut m = Machine::new(cfg.with_path::<P>());
-    let li = m.load(&image_from(&hash_loop_program(iters))).unwrap();
+    let li = m.load(&image_from(text)).unwrap();
     m.start(li.entry);
     m
 }
@@ -512,7 +533,7 @@ fn instruction_budget_inside_a_block_faults_on_the_same_instruction() {
     // Budgets that end the run at every instruction of the first loop
     // iterations, the blocks' middles included, and one that lets it halt.
     fn run<P: ExecPath>(max_instructions: u64) -> (RunOutcome, (u64, Vec<u64>, u64, u64, PmuSnapshot)) {
-        let mut m = hash_loop_machine::<P>(100, max_instructions);
+        let mut m = loop_machine::<P>(&hash_loop_program(Dispersal::Hash, 100, 1), max_instructions);
         (m.run(), observe(&mut m))
     }
     for max_instructions in (1..=20).chain([1_000]) {
@@ -533,8 +554,9 @@ fn instruction_budget_inside_a_block_faults_on_the_same_instruction() {
 fn run_until_every_limit_over_a_block_loop_matches_the_reference() {
     // One window per cycle: every window edge falls inside a block, at
     // every position of it, and each window's counter deltas must agree.
-    let mut fast = hash_loop_machine::<Fast>(40, u64::MAX);
-    let mut slow = hash_loop_machine::<Reference>(40, u64::MAX);
+    let text = hash_loop_program(Dispersal::Hash, 40, 1);
+    let mut fast = loop_machine::<Fast>(&text, u64::MAX);
+    let mut slow = loop_machine::<Reference>(&text, u64::MAX);
     let (mut last_fast, mut last_slow) = (fast.pmu().snapshot(), slow.pmu().snapshot());
     for limit in 1.. {
         let exit = fast.run_until(limit);
@@ -550,4 +572,142 @@ fn run_until_every_limit_over_a_block_loop_matches_the_reference() {
         }
     }
     assert!(fast.blocks_run() > 40, "the loop ran in blocks");
+}
+
+/// A profiled run: the outcome, every window, the PC, registers and
+/// cache counters at each window's end, and the fast-forward's skipped
+/// instructions.
+type ProfiledRun = (RunOutcome, Vec<(u64, PmuSnapshot)>, Vec<(u64, Vec<u64>, CacheCounts)>, u64);
+
+/// Runs `text` through the profiler at `interval` under an instruction
+/// budget, then again through the same windows with `run_until`, reading
+/// the state a sampler of registers and cache counters would see.
+fn profile_program<P: ExecPath>(
+    text: &[Instr],
+    interval: u64,
+    max_instructions: u64,
+) -> ProfiledRun {
+    let machine = || loop_machine::<P>(text, max_instructions);
+    let mut m = machine();
+    let trace = cr_spectre_hpc::profiler::profile(&mut m, "loop", interval);
+    let windows = trace.samples.iter().map(|s| (s.at_cycle, s.deltas)).collect();
+    let mut m = machine();
+    let mut states = Vec::new();
+    let mut next = interval;
+    loop {
+        let exit = m.run_until(next);
+        let caches = m.caches();
+        let levels = [caches.l1d(), caches.l1i(), caches.l2()]
+            .map(|c| (c.hits(), c.misses(), c.evictions()));
+        states.push((m.pc(), Reg::ALL.iter().map(|&r| m.reg(r)).collect(), levels));
+        if exit.is_some() {
+            break;
+        }
+        while next <= m.cycles() {
+            next += interval;
+        }
+    }
+    (trace.outcome, windows, states, m.fast_forward_stats().1)
+}
+
+/// Asserts that `text` runs identically on both paths, window by window,
+/// and returns the fast path's run.
+fn assert_profiles_match(
+    what: &str,
+    text: &[Instr],
+    interval: u64,
+    max_instructions: u64,
+) -> ProfiledRun {
+    let fast = profile_program::<Fast>(text, interval, max_instructions);
+    let slow = profile_program::<Reference>(text, interval, max_instructions);
+    assert_eq!(fast.0, slow.0, "{what}: outcome");
+    assert_eq!(fast.1.len(), slow.1.len(), "{what}: window count");
+    for (i, (got, want)) in fast.1.iter().zip(&slow.1).enumerate() {
+        assert_eq!(got, want, "{what}: window {i}");
+    }
+    assert_eq!(fast.2.len(), slow.2.len(), "{what}: window count");
+    for (i, (got, want)) in fast.2.iter().zip(&slow.2).enumerate() {
+        assert_eq!(got, want, "{what}: pc, registers and caches after window {i}");
+    }
+    assert_eq!(slow.3, 0, "{what}: the reference path never skips");
+    fast
+}
+
+#[test]
+fn dispersal_loops_fast_forward_exactly() {
+    for shape in [Dispersal::Bare, Dispersal::Hash] {
+        for trips in [1, 2, 3, 2_500] {
+            let text = hash_loop_program(shape, trips, 3);
+            let total = profile_program::<Reference>(&text, u64::MAX, u64::MAX).0.instructions;
+            // Budgets that end the run inside the first, second and third
+            // round's loop, one instruction short of the end, and none.
+            for budget in [total / 5, total / 2 + 1, total * 5 / 6, total - 1, u64::MAX] {
+                for interval in [1, 7, 97, 2_000, 7_919] {
+                    let what =
+                        format!("{shape:?} × {trips}, interval {interval}, budget {budget}");
+                    let fast = assert_profiles_match(&what, &text, interval, budget);
+                    // Long loops under long windows are what the fast-forward
+                    // is for: it must engage, or it only costs.
+                    if trips == 2_500 && interval >= 2_000 && budget == u64::MAX {
+                        let skipped = fast.3 as f64 / fast.0.instructions as f64;
+                        assert!(skipped >= 0.9, "{what}: skipped only {skipped:.3}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A bare delay loop run for three rounds of 1, 1 and 2500 trips. It is
+/// entered at its top, the start of an L1i line, so every iteration runs
+/// in its own block, within that line; two
+/// one-trip rounds leave its branch strongly not-taken, so the long round
+/// mispredicts its first two back edges. When `evict`, the loop's exit
+/// path is a chain of jumps through twelve more lines of the L1i set of
+/// the branch's line, so each of those mispredictions evicts the loop's
+/// own line and the next iteration, predicted right, misses on it.
+fn warm_up_program(evict: bool) -> Vec<Instr> {
+    const SET_STRIDE: usize = 512; // instructions per 4 KiB
+    let b = INSTR_BYTES as i32;
+    let mut text = vec![
+        /* 0 */ Instr::Ldi(Reg::R1, 0),
+        /* 1 */ Instr::Alui(AluOp::Add, Reg::R1, Reg::R1, 1), // outer
+        /* 2 */ Instr::Ldi(Reg::R10, 1),
+        /* 3 */ Instr::Ldi(Reg::R3, 3),
+        /* 4 */ Instr::Br(BranchCond::Ne, Reg::R1, Reg::R3, 2 * b),
+        /* 5 */ Instr::Ldi(Reg::R10, 2_500),
+        /* 6 */ Instr::Nop,
+        /* 7 */ Instr::Jmp(b),
+        /* 8 */ Instr::Alui(AluOp::Sub, Reg::R10, Reg::R10, 1), // top
+        /* 9 */ Instr::Ldi(Reg::R0, 0),
+        /* 10 */ Instr::Br(BranchCond::Ne, Reg::R10, Reg::R0, -2 * b),
+    ];
+    let links = if evict { 12 } else { 0 };
+    text.resize(11 + links * SET_STRIDE, Instr::Nop);
+    for link in 0..links {
+        text[11 + link * SET_STRIDE] = Instr::Jmp(SET_STRIDE as i32 * b);
+    }
+    let tail = text.len() as i32;
+    text.extend([
+        Instr::MFence, // ends the transient path before it refetches the loop
+        Instr::Ldi(Reg::R3, 3),
+        Instr::Br(BranchCond::Lt, Reg::R1, Reg::R3, (1 - (tail + 2)) * b), // to outer
+        Instr::Halt,
+    ]);
+    text
+}
+
+#[test]
+fn loop_warm_up_is_never_skipped() {
+    for evict in [false, true] {
+        let text = warm_up_program(evict);
+        for interval in [97, 2_000, u64::MAX] {
+            let what = format!("warm-up, evict {evict}, interval {interval}");
+            let fast = assert_profiles_match(&what, &text, interval, u64::MAX);
+            assert!(fast.3 > 0, "{what}: the loop is skipped once warm");
+            let mispredicts: u64 =
+                fast.1.iter().map(|(_, d)| d.count(HpcEvent::BranchMispredicts)).sum();
+            assert!(mispredicts >= 3, "{what}: the long round mispredicted its first back edges");
+        }
+    }
 }

@@ -12,7 +12,7 @@ use cr_spectre_sim::cache::{Cache, CacheConfig, CacheHierarchy, HierarchyConfig,
 use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig, Reference};
 use cr_spectre_sim::cpu::{sys, Machine, INFO_PAGE};
 use cr_spectre_sim::error::RunOutcome;
-use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
+use cr_spectre_sim::image::{Image, ImageSegment, Reloc, RelocKind, SegKind};
 use cr_spectre_sim::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
 use cr_spectre_sim::mem::{AccessKind, MemFault, Memory, Perms, PAGE_SIZE};
 use cr_spectre_sim::pmu::{HpcEvent, Pmu, PmuSnapshot};
@@ -510,6 +510,8 @@ struct GenProgram {
     /// code instead of faulting, so they are made mostly elsewhere under
     /// DEP.
     writable_text: bool,
+    /// Whether a long counted loop was placed already.
+    long_loop: bool,
     text: Vec<Instr>,
     /// `(index, target)`: the instruction at `index` is a `Call` to, or an
     /// `Alui(Add, r7, r13, _)` forming the address of, `target`.
@@ -572,6 +574,135 @@ impl GenProgram {
         });
     }
 
+    /// Sets `r` to `value`: an `Ldi`, and an `Ldih` when the sign-extended
+    /// low half is not the value.
+    fn load_const(&mut self, r: Reg, value: u64) {
+        self.push(Instr::Ldi(r, value as u32 as i32));
+        if value as u32 as i32 as u64 != value {
+            self.push(Instr::Ldih(r, (value >> 32) as u32 as i32));
+        }
+    }
+
+    /// A counted loop: up to seven body instructions, so the loop may span
+    /// two blocks, then the counter `r10` stepped by an `Alui Add` or
+    /// `Sub` and a branch back while it compares, by any of the six
+    /// conditions and from either side, with a bound in `r9`. The bound is
+    /// loop-invariant or set by an `Ldi` in the body. Strides are ±1 or
+    /// longer, and a counter may start at 0 or near the top of its range
+    /// and wrap. Half the bodies are register-only work a fast-forward may
+    /// skip, now and then reading a register they also write, which it
+    /// must not skip; in the other half four instructions in five load or
+    /// store. Sometimes the loop's own first instruction is patched by a
+    /// store just before it. A loop ends within 200 trips, except that
+    /// one loop in sixteen is long unless an earlier loop of the program
+    /// was: it runs up to a few thousand trips, across window edges, or
+    /// steps away from its bound, or towards one at the end of its range,
+    /// and may run until the budget stops it.
+    fn counted_loop(&mut self, a: u32, b: u32) {
+        const CONDS: [BranchCond; 6] = [
+            BranchCond::Eq,
+            BranchCond::Ne,
+            BranchCond::Lt,
+            BranchCond::Ge,
+            BranchCond::Ltu,
+            BranchCond::Geu,
+        ];
+        let b8 = INSTR_BYTES as i32;
+        let long = !self.long_loop && b >> 28 == 0;
+        self.long_loop |= long;
+        let trips = if long {
+            u64::from(b >> 8) % 3_000
+        } else {
+            1 + u64::from(b >> 8) % [4, 200, 200][b as usize % 3]
+        };
+        let cond = CONDS[(b >> 2) as usize % 6];
+        let counter_lhs = b & 0x20 == 0;
+        let magnitude = [1, 1, 1, 2, 3, 8][(b >> 5) as usize % 6];
+        // The ordered conditions need the counter to step towards the
+        // bound to end; a long loop steps away now and then, and wraps.
+        let towards = matches!(cond, BranchCond::Lt | BranchCond::Ltu) == counter_lhs;
+        let climbing = match cond {
+            BranchCond::Eq | BranchCond::Ne => b & 0x100 == 0,
+            _ => towards != (long && b & 0x200 != 0),
+        };
+        let stride: i64 = if climbing { magnitude } else { -magnitude };
+        let start = match (b >> 12) % 6 {
+            0 => 0,
+            1 => u64::MAX - trips,
+            2 => i64::MAX as u64 - trips,
+            _ => u64::from(b >> 16),
+        };
+        // Where the counter is after `trips` steps, or the end of a range.
+        let bound = if long && (b >> 15).is_multiple_of(4) {
+            [u64::MAX, i64::MAX as u64, i64::MIN as u64, 0][a as usize % 4]
+        } else {
+            start.wrapping_add(trips.wrapping_mul(stride as u64))
+        };
+        let bound_in_body = a & 0x40 != 0 && bound as u32 as i32 as u64 == bound;
+        self.load_const(Reg::R10, start);
+        if !bound_in_body {
+            self.load_const(Reg::R9, bound);
+        }
+        if a % 8 == 7 {
+            // Patch the loop's first instruction: a write fault under DEP,
+            // a new loop body without it.
+            let top = self.text.len() + 3;
+            let word = u64::from_le_bytes(
+                [Instr::Nop, Instr::Alui(AluOp::Add, Reg::R4, Reg::R4, 1), Instr::Ldi(Reg::R5, 3)]
+                    [(a >> 3) as usize % 3]
+                    .encode(),
+            );
+            self.push(Instr::Ldi(Reg::R6, word as u32 as i32));
+            self.push(Instr::Ldih(Reg::R6, (word >> 32) as u32 as i32));
+            let base = if self.writable_text || a.is_multiple_of(16) { Reg::R13 } else { Reg::R12 };
+            self.push(Instr::St(Width::D, base, Reg::R6, (top * INSTR_BYTES) as i32));
+        }
+        let top = self.text.len();
+        let memory = a & 0x80 != 0;
+        for i in 0..(a >> 8) % 8 {
+            let (x, y) = (a.rotate_left(i * 5 + 13), b.rotate_left(i * 7 + 3));
+            match (a >> (11 + i)) % 5 {
+                0 | 1 if memory => self.push(Instr::Ld(Width::D, reg(i), Reg::R12, (8 * i) as i32)),
+                2 | 3 if memory => self.push(Instr::St(Width::W, Reg::R12, reg(i), (64 * i) as i32)),
+                _ => self.loop_body_instr(i, x, y),
+            }
+        }
+        let op = if stride > 0 { AluOp::Add } else { AluOp::Sub };
+        self.push(Instr::Alui(op, Reg::R10, Reg::R10, magnitude as i32));
+        if bound_in_body {
+            self.push(Instr::Ldi(Reg::R9, bound as i32));
+        }
+        let (rs1, rs2) = if counter_lhs { (Reg::R10, Reg::R9) } else { (Reg::R9, Reg::R10) };
+        let back = -((self.text.len() - top) as i32 * b8);
+        self.push(Instr::Br(cond, rs1, rs2, back));
+    }
+
+    /// The `i`-th register instruction of a counted loop's body. Mostly it
+    /// writes `r{i}` from the counter, loop invariants and registers
+    /// written before it; now and then it reads a register it writes (an
+    /// accumulator), or is any simple computation.
+    fn loop_body_instr(&mut self, i: u32, a: u32, b: u32) {
+        let rd = reg(i);
+        let src = |x: u32| match x % 4 {
+            0 => Reg::R10,
+            1 => Reg::R12,
+            2 if i > 0 => reg(x / 4 % i),
+            _ => Reg::R13,
+        };
+        let op = ALU_OPS[b as usize % ALU_OPS.len()];
+        let imm = b as i32 >> (a % 24);
+        self.push(match a % 16 {
+            0..=3 => Instr::Alui(op, rd, src(a >> 4), imm),
+            4..=6 => Instr::Alu(op, rd, src(a >> 4), src(a >> 8)),
+            7 => Instr::Mov(rd, src(a >> 4)),
+            8 => Instr::Ldi(rd, imm),
+            9 => Instr::Nop,
+            10 => Instr::Alui(op, rd, rd, imm),
+            11 => Instr::Ldih(rd, imm),
+            _ => return self.simple(a, b),
+        });
+    }
+
     /// Appends a fragment chosen by `kind` (of `0..64`) with parameters
     /// `a` and `b`: straight-line code, loads and stores, loops, calls
     /// deeper than the RSB, `clflush`/`mfence`, `rdtsc`, branches that
@@ -601,22 +732,7 @@ impl GenProgram {
                 self.simple(b, a);
                 self.push(Instr::Pop(reg(b % 8)));
             }
-            27..=36 => {
-                // A counted loop of up to seven body instructions, some of
-                // them loads and stores.
-                let body = 1 + a % 7;
-                self.push(Instr::Ldi(Reg::R10, 1 + (b % 200) as i32));
-                for i in 0..body {
-                    match (a >> (3 + i)) % 5 {
-                        0 => self.push(Instr::Ld(Width::D, reg(i % 8), Reg::R12, (8 * i) as i32)),
-                        1 => self.push(Instr::St(Width::W, Reg::R12, reg(i % 8), (64 * i) as i32)),
-                        _ => self.simple(a.rotate_left(i * 5), b.rotate_left(i * 7)),
-                    }
-                }
-                self.push(Instr::Alui(AluOp::Sub, Reg::R10, Reg::R10, 1));
-                self.push(Instr::Ldi(Reg::R9, 0));
-                self.push(Instr::Br(BranchCond::Ne, Reg::R10, Reg::R9, -((body as i32 + 2) * b8)));
-            }
+            27..=36 => self.counted_loop(a, b),
             37..=41 => {
                 // A branch on data (or on the clock) over 1..=3 instructions:
                 // it mispredicts now and then.
@@ -765,7 +881,7 @@ struct GenCase {
 impl GenCase {
     fn text(&self) -> Vec<u8> {
         let writable_text = !self.config::<Fast>().protect.dep;
-        let mut program = GenProgram { writable_text, text: Vec::new(), fixups: Vec::new() };
+        let mut program = GenProgram { writable_text, long_loop: false, text: Vec::new(), fixups: Vec::new() };
         for &(kind, a, b) in &self.fragments {
             program.fragment(kind, a, b);
         }
@@ -804,11 +920,13 @@ impl GenCase {
 /// and stack, and the guest's stdout.
 type GenRun = (RunOutcome, Vec<(u64, PmuSnapshot)>, Vec<u64>, u64, u64, Vec<u8>);
 
-fn run_generated<P: ExecPath>(case: &GenCase) -> GenRun {
-    let text = case.text();
+/// A started machine about to run `text`, the program of `case`, with
+/// its data buffer in `r12` and its text base in `r13`; returns those two
+/// addresses too.
+fn generated_machine<P: ExecPath>(case: &GenCase, text: &[u8]) -> (Machine<P>, u64, u64) {
     let image = Image::new(
         "gen",
-        vec![ImageSegment { name: ".text".into(), kind: SegKind::Text, offset: 0, bytes: text.clone() }],
+        vec![ImageSegment { name: ".text".into(), kind: SegKind::Text, offset: 0, bytes: text.to_vec() }],
         0,
     );
     let mut m = Machine::new(case.config::<P>());
@@ -819,21 +937,48 @@ fn run_generated<P: ExecPath>(case: &GenCase) -> GenRun {
     m.start(li.entry);
     m.set_reg(Reg::R12, data);
     m.set_reg(Reg::R13, li.base);
+    (m, data, li.base)
+}
+
+fn run_generated<P: ExecPath>(case: &GenCase) -> GenRun {
+    let text = case.text();
+    let (mut m, data, base) = generated_machine::<P>(case, &text);
     let trace = profile(&mut m, "gen", case.interval());
     let windows = trace.samples.iter().map(|s| (s.at_cycle, s.deltas)).collect();
     let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
     let mut h = DefaultHasher::new();
-    m.mem().peek(li.base, text.len()).hash(&mut h);
+    m.mem().peek(base, text.len()).hash(&mut h);
     m.mem().peek(data, GEN_DATA as usize).hash(&mut h);
     let sp_top = m.initial_sp();
     m.mem().peek(sp_top - PAGE_SIZE, PAGE_SIZE as usize).hash(&mut h);
     (trace.outcome, windows, regs, m.pc(), h.finish(), m.stdout().to_vec())
 }
 
+/// The cycle, PC and registers at the end of every window of `case`, cut
+/// where the profiler cuts them: what a sampler reading the registers
+/// would see.
+fn generated_window_states<P: ExecPath>(case: &GenCase) -> Vec<(u64, u64, Vec<u64>)> {
+    let (mut m, ..) = generated_machine::<P>(case, &case.text());
+    let interval = case.interval();
+    let mut next = interval;
+    let mut states = Vec::new();
+    loop {
+        let exit = m.run_until(next);
+        states.push((m.cycles(), m.pc(), Reg::ALL.iter().map(|&r| m.reg(r)).collect()));
+        if exit.is_some() {
+            return states;
+        }
+        while next <= m.cycles() {
+            next += interval;
+        }
+    }
+}
+
 proptest! {
     /// Generated guest programs run identically on both execution paths
     /// through the profiler: every window's 56 counter deltas, the exit
-    /// (fault kind and address included), registers, memory and output,
+    /// (fault kind and address included), registers (at every window's
+    /// end too), memory and output,
     /// whatever the protections, the instruction budget and the sampling
     /// interval, down to windows of one cycle that cut blocks anywhere.
     #[test]
@@ -852,5 +997,89 @@ proptest! {
         prop_assert_eq!(&fast.2[..], &slow.2[..], "registers of {:?}", case);
         prop_assert_eq!((fast.3, fast.4), (slow.3, slow.4), "pc and memory of {:?}", case);
         prop_assert_eq!(&fast.5, &slow.5, "stdout of {:?}", case);
+        let fast = generated_window_states::<Fast>(&case);
+        let slow = generated_window_states::<Reference>(&case);
+        prop_assert_eq!(fast.len(), slow.len(), "window count of {:?}", case);
+        for (i, (got, want)) in fast.iter().zip(&slow).enumerate() {
+            prop_assert_eq!(got, want, "state after window {} of {:?}", i, case);
+        }
+    }
+}
+
+/// Image-relative offsets: mostly page-aligned ones within a few pages,
+/// then ones at and past the end of image space (the heap starts 8 MiB
+/// up), unaligned ones, and ones near the top of the address space.
+fn image_offset() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..4).prop_map(|page| page * PAGE_SIZE),
+        (0u64..4).prop_map(|page| page * PAGE_SIZE),
+        (0u64..4).prop_map(|page| page * PAGE_SIZE),
+        (0x7e0u64..0x800).prop_map(|page| page * PAGE_SIZE),
+        0u64..3 * PAGE_SIZE,
+        (0u64..64).prop_map(|d| u64::MAX - d),
+        any::<u64>(),
+    ]
+}
+
+/// An arbitrary image: up to three segments of any kind and offset, up to
+/// six relocations of either kind at any field with any addend, any entry
+/// and symbols.
+fn arbitrary_image() -> impl Strategy<Value = Image> {
+    let segment = (0u8..3, image_offset(), proptest::collection::vec(any::<u8>(), 0..80), 0u64..3);
+    let reloc = (any::<bool>(), prop_oneof![0u64..2 * PAGE_SIZE, image_offset()], image_offset());
+    let symbol = (0u8..8, image_offset());
+    (
+        proptest::collection::vec(segment, 0..4),
+        proptest::collection::vec(reloc, 0..7),
+        proptest::collection::vec(symbol, 0..3),
+        image_offset(),
+    )
+        .prop_map(|(segments, relocs, symbols, entry)| {
+            let segments = segments
+                .into_iter()
+                .map(|(kind, offset, mut bytes, pages)| {
+                    // Now and then a segment a few pages long.
+                    bytes.resize(bytes.len() + (pages * PAGE_SIZE) as usize / 2, 0);
+                    let kind = [SegKind::Text, SegKind::Rodata, SegKind::Data][kind as usize];
+                    ImageSegment { name: format!("{kind:?}"), kind, offset, bytes }
+                })
+                .collect();
+            let mut image = Image::new("arbitrary", segments, entry);
+            image.relocs = relocs
+                .into_iter()
+                .map(|(wide, at, addend)| Reloc {
+                    at,
+                    addend,
+                    kind: if wide { RelocKind::Abs64 } else { RelocKind::Imm32 },
+                })
+                .collect();
+            image.symbols =
+                symbols.into_iter().map(|(name, at)| (format!("s{name}"), at)).collect();
+            image
+        })
+}
+
+proptest! {
+    /// No image panics the loader: `Machine::load` places it or returns a
+    /// typed fault, with ASLR and DEP on or off, into a fresh machine or
+    /// after another image; a placed image then starts and runs a few
+    /// hundred instructions from its entry without panicking either.
+    #[test]
+    fn loading_any_image_never_panics(
+        first in arbitrary_image(),
+        second in arbitrary_image(),
+        protect in 0u8..4,
+    ) {
+        let mut cfg = MachineConfig { max_instructions: 300, ..MachineConfig::default() };
+        cfg.protect.dep = protect & 1 == 0;
+        cfg.protect.aslr_seed = (protect & 2 != 0).then_some(7);
+        let mut m = Machine::new(cfg);
+        for image in [&first, &second] {
+            if let Ok(li) = m.load(image) {
+                prop_assert!(li.base % PAGE_SIZE == 0, "image base {:#x} is page-aligned", li.base);
+                m.start(li.entry);
+                m.run();
+            }
+        }
     }
 }

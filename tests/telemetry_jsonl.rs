@@ -99,6 +99,9 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
                         "decode_fills",
                         "decode_flushes",
                         "blocks_run",
+                        "spec_fills",
+                        "ff_jumps",
+                        "ff_instrs",
                         "pages_touched",
                     ] {
                         assert!(fields.get(key).is_some(), "line {i}: no {key} field");
@@ -114,6 +117,12 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
                         mean_block > 1.0 && mean_block <= 8.0,
                         "line {i}: mean executed block length {mean_block} outside (1, 8]"
                     );
+                    // Every CR-Spectre trial runs a dispersal loop, which the
+                    // loop fast-forward skips most of.
+                    let app = fields.get("app").and_then(Value::as_str).unwrap_or("");
+                    if app.starts_with("cr_") {
+                        assert!(count("ff_instrs") > 0.0, "line {i}: {app} skipped no iteration");
+                    }
                     // Guest memory is sparse: a run touches some pages, never all.
                     let pages = fields.get("pages_touched").and_then(Value::as_f64).unwrap_or(0.0);
                     assert!(
@@ -162,6 +171,8 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
         "sim.instructions",
         "sim.decode_fills",
         "sim.decode_flushes",
+        "sim.ff_jumps",
+        "sim.ff_instrs",
         "sim.pages_touched",
         "hpc.trials",
         "par_map.jobs",
