@@ -26,6 +26,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use cr_spectre_sim::cpu::{HEAP_BASE, IMAGE_BASE};
 use cr_spectre_sim::image::{Image, ImageSegment, Reloc, RelocKind, SegKind};
 use cr_spectre_sim::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
 use cr_spectre_sim::mem::PAGE_SIZE;
@@ -39,7 +40,14 @@ pub enum AsmError {
     DuplicateLabel(String),
     /// A branch target is too far for the 32-bit offset field.
     OffsetOverflow(String),
+    /// The image would be larger than [`MAX_IMAGE_BYTES`].
+    ImageTooLarge,
 }
+
+/// The most bytes an image can span: every machine loads images between
+/// [`IMAGE_BASE`] and its heap at [`HEAP_BASE`], so a larger one could
+/// never load, and [`Asm::build`] rejects it before laying it out.
+pub const MAX_IMAGE_BYTES: u64 = HEAP_BASE - IMAGE_BASE;
 
 impl fmt::Display for AsmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -47,6 +55,7 @@ impl fmt::Display for AsmError {
             AsmError::UndefinedLabel(l) => write!(f, "undefined label {l:?}"),
             AsmError::DuplicateLabel(l) => write!(f, "duplicate label {l:?}"),
             AsmError::OffsetOverflow(l) => write!(f, "branch offset to {l:?} overflows"),
+            AsmError::ImageTooLarge => write!(f, "image exceeds {MAX_IMAGE_BYTES} bytes"),
         }
     }
 }
@@ -266,10 +275,13 @@ impl Asm {
         }
     }
 
+    /// The current length of `section`, saturating: one past
+    /// [`MAX_IMAGE_BYTES`] fails [`Asm::build`] anyway.
     fn data_offset(&self, section: Section) -> u64 {
+        let len = |items: &[DataItem]| items.iter().fold(0u64, |n, item| n.saturating_add(item.len()));
         match section {
-            Section::Rodata => self.rodata.iter().map(DataItem::len).sum(),
-            Section::Data => self.data.iter().map(DataItem::len).sum(),
+            Section::Rodata => len(&self.rodata),
+            Section::Data => len(&self.data),
             Section::Text => unreachable!(),
         }
     }
@@ -331,13 +343,16 @@ impl Asm {
     ///
     /// # Errors
     ///
-    /// Returns [`AsmError`] for undefined labels or offsets that do not fit
-    /// the instruction encoding.
+    /// Returns [`AsmError`] for undefined labels, offsets that do not fit
+    /// the instruction encoding, or an image larger than
+    /// [`MAX_IMAGE_BYTES`].
     pub fn build(&self, name: impl Into<String>) -> Result<Image, AsmError> {
-        let text_len = self.here();
-        let rodata_off = text_len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let rodata_len: u64 = self.rodata.iter().map(DataItem::len).sum();
-        let data_off = (rodata_off + rodata_len).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let page_align = |n: u64| n.div_ceil(PAGE_SIZE).saturating_mul(PAGE_SIZE);
+        let rodata_off = page_align(self.here());
+        let data_off = page_align(rodata_off.saturating_add(self.data_offset(Section::Rodata)));
+        if data_off.saturating_add(self.data_offset(Section::Data)) > MAX_IMAGE_BYTES {
+            return Err(AsmError::ImageTooLarge);
+        }
 
         // Resolve every label to an image-relative address.
         let resolve = |label: &str| -> Result<u64, AsmError> {

@@ -263,7 +263,8 @@ fn parse_i32(s: &str) -> Option<i32> {
     if let Some(hex) = s.strip_prefix("0x") {
         u32::from_str_radix(hex, 16).ok().map(|v| v as i32)
     } else if let Some(hex) = s.strip_prefix("-0x") {
-        u32::from_str_radix(hex, 16).ok().map(|v| -(v as i32))
+        // Down to `-0x80000000`; a larger magnitude is malformed.
+        u32::from_str_radix(hex, 16).ok().and_then(|v| 0i32.checked_sub_unsigned(v))
     } else {
         s.parse().ok()
     }
@@ -291,7 +292,7 @@ fn parse_mem_operand(s: &str) -> Option<(Reg, i32)> {
         }
         let reg = parse_reg(&inner[..minus])?;
         let imm = parse_i32(&inner[minus + 1..])?;
-        Some((reg, -imm))
+        Some((reg, imm.checked_neg()?))
     } else {
         Some((parse_reg(inner)?, 0))
     }

@@ -162,3 +162,90 @@ proptest! {
         }
     }
 }
+
+/// Line heads for [`assembling_token_soup_never_panics`]: mnemonics
+/// (real, near-misses and empty), directives and label definitions.
+const HEADS: &[&str] = &[
+    "nop", "halt", "ret", "mfence", "syscall", "ldi", "ldih", "mov", "la", "ldb", "ldw", "ldd",
+    "stb", "stw", "std", "jmp", "jmpr", "call", "callr", "push", "pop", "clflush", "rdtsc",
+    "beq", "bne", "blt", "bge", "bltu", "bgeu", "add", "addi", "sub", "subi", "mul", "muli",
+    "divu", "divui", "remu", "remui", "and", "or", "xor", "shl", "shr", "sar", "sari", "i", "u",
+    "ld", "st", "b", ".text", ".data", ".rodata", ".entry", ".asciz", ".space", ".dq",
+    ".bytes", ".", ".zero", "main:", "l0:", "l1:", "l0: nop", "main: .dq", ":", "",
+];
+
+/// Operands: registers in and out of range, labels and label
+/// references, numbers at the `i32`, `i64` and `u64` boundaries and with
+/// a bad radix, memory operands, strings and stray punctuation.
+const OPERANDS: &[&str] = &[
+    "r0", "r1", "r9", "r15", "r16", "r99", "r-1", "r", "sp", "R1", "main", "l0", "l1", "&l0",
+    "&main", "&", "0", "1", "-1", "7", "2147483647", "2147483648", "-2147483648",
+    "-2147483649", "4294967295", "4294967296", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "18446744073709551615", "18446744073709551616", "0x", "0x0",
+    "0x7fffffff", "0x80000000", "-0x80000000", "-0x80000001", "0xffffffff", "-0xffffffff",
+    "0x100000000", "0xffffffffffffffff", "0x10000000000000000", "0xg", "0b101", "0o17", "1e9",
+    "--1", "+1", "[r1]", "[r1+8]", "[r1-8]", "[r1+-8]", "[r1-2147483648]", "[r1+0x80000000]",
+    "[r1--0x80000000]", "[r1-0x80000000]", "[r16]", "[sp+0x10]", "[]", "[", "]", "[r1+]",
+    "[-1]", "\"", "\"a;b\"", "\"\\\"", "\"\\n\\0\"", "ff", "00", "zz", "100", ",", ";",
+    "#", "+", "-", "*", ":", "é", "\t", "\u{0}",
+];
+
+/// A line of token soup: the first pair of `tokens` picks a head, the
+/// rest operands, each followed by the separator its second byte picks
+/// (mostly a comma).
+fn soup_line(tokens: &[(u8, u8)]) -> String {
+    let mut line = String::new();
+    for (k, &(token, sep)) in tokens.iter().enumerate() {
+        let pool = if k == 0 { HEADS } else { OPERANDS };
+        line.push_str(pool[token as usize % pool.len()]);
+        line.push_str([", ", ", ", " ", ""][sep as usize % 4]);
+    }
+    line
+}
+
+proptest! {
+    /// Assembler text is guest input: whatever it holds, `assemble`
+    /// returns an image or a typed error, and never panics. Token soup
+    /// over every mnemonic, register, directive and boundary number,
+    /// with a very long line in one case in four.
+    #[test]
+    fn assembling_token_soup_never_panics(
+        lines in proptest::collection::vec(proptest::collection::vec((any::<u8>(), any::<u8>()), 1..5), 0..24),
+        long in (any::<u8>(), any::<u8>(), 0usize..16_000),
+    ) {
+        let mut src: String = lines.iter().map(|tokens| soup_line(tokens) + "\n").collect();
+        let (token, sep, repeat) = long;
+        if repeat % 4 == 0 {
+            src.push_str(&soup_line(&[(token, sep)]));
+            src.push_str(&soup_line(&[(0, 0), (token, sep)])[5..].repeat(repeat / 4));
+            src.push('\n');
+        }
+        let _ = assemble("soup", &src);
+    }
+}
+
+/// Inputs token soup found panicking the assembler (with overflow
+/// checks on), pinned: each now assembles or is a typed error.
+#[test]
+fn pinned_soup_inputs_do_not_panic() {
+    // The most negative hex immediate still assembles.
+    let image = assemble("pinned", "main: ldi r1, -0x80000000\nhalt\n").unwrap();
+    let mut machine = Machine::new(MachineConfig::default());
+    let loaded = machine.load(&image).unwrap();
+    machine.start(loaded.entry);
+    assert!(machine.run().exit.is_clean());
+    assert_eq!(machine.reg(Reg::R1), i32::MIN as i64 as u64);
+    for (src, message) in [
+        // Negating a hex magnitude beyond `i32::MIN`.
+        ("ldi r1, -0xffffffff\n", "malformed operands"),
+        // Negating the displacement `i32::MIN`.
+        ("ldd r1, [r2--0x80000000]\n", "malformed operands"),
+        // Reserving more than any image can hold, and overflowing the
+        // section's length.
+        (".data\n.space 18446744073709551615\n", "image exceeds"),
+        (".data\nx: .space 9223372036854775807\n.space 9223372036854775807\ny: .dq 1\n", "image exceeds"),
+    ] {
+        let e = assemble("pinned", src).expect_err(src);
+        assert!(e.message.contains(message), "{src:?}: {e}");
+    }
+}

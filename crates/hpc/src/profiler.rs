@@ -6,35 +6,23 @@
 //! HID consumes per-window deltas, exactly as a real sampling profiler
 //! delivers counter readings per sampling period.
 //!
-//! [`profile`] is a loop over windows, not over instructions: each
-//! [`Machine::run_until`] call runs the simulator's step loop up to the
-//! next window boundary, and the PMU is read once per window. A window
-//! closes on the first instruction that reaches or crosses its boundary,
-//! so its `at_cycle` can overshoot the boundary by that instruction's
-//! latency; the next boundary is the first multiple of `interval` (from
-//! the start cycle) past it.
+//! [`profile`] hands the window schedule to the machine for the run
+//! ([`Machine::run_sampled`]), which steps to each window edge and reads
+//! the PMU there, exactly as a sampler calling [`Machine::run_until`] and
+//! [`Machine::pmu`] per window would. A window closes on the first
+//! instruction that reaches or crosses its edge, so its `at_cycle` can
+//! overshoot the edge by that instruction's latency; the next edge is the
+//! first multiple of `interval` (from the start cycle) past it. Inside a
+//! counted guest loop, the machine's fast-forward computes the windows it
+//! jumps across in closed form.
 
 use cr_spectre_sim::config::ExecPath;
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::error::RunOutcome;
-use cr_spectre_sim::pmu::{HpcEvent, PmuSnapshot};
+use cr_spectre_sim::pmu::HpcEvent;
 use cr_spectre_telemetry as telemetry;
 
-/// One sampling window's counter deltas.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// Cycle count at the end of the window.
-    pub at_cycle: u64,
-    /// Counter deltas over the window.
-    pub deltas: PmuSnapshot,
-}
-
-impl Sample {
-    /// The delta of one event in this window.
-    pub fn count(&self, event: HpcEvent) -> u64 {
-        self.deltas.count(event)
-    }
-}
+pub use cr_spectre_sim::sampling::Sample;
 
 /// A complete profiled run.
 #[derive(Debug, Clone)]
@@ -80,33 +68,9 @@ pub fn profile<P: ExecPath>(machine: &mut Machine<P>, app: &str, interval: u64) 
     // everything here reads the PMU once at the end.
     let mut span = telemetry::span("hpc.profile");
     let wall_start = span.is_recording().then(std::time::Instant::now);
-    let mut samples = Vec::new();
-    let mut last = machine.pmu().snapshot();
-    let mut next = machine.cycles().saturating_add(interval);
-    let outcome = loop {
-        match machine.run_until(next) {
-            None => {
-                let snap = machine.pmu().snapshot();
-                samples.push(Sample { at_cycle: machine.cycles(), deltas: snap - last });
-                last = snap;
-                while next <= machine.cycles() {
-                    next += interval;
-                }
-            }
-            Some(exit) => {
-                let snap = machine.pmu().snapshot();
-                let tail = snap - last;
-                if tail.count(HpcEvent::Instructions) > 0 {
-                    samples.push(Sample { at_cycle: machine.cycles(), deltas: tail });
-                }
-                break RunOutcome {
-                    exit,
-                    instructions: machine.instructions(),
-                    cycles: machine.cycles(),
-                };
-            }
-        }
-    };
+    let (samples, exit) = machine.run_sampled(interval);
+    let outcome =
+        RunOutcome { exit, instructions: machine.instructions(), cycles: machine.cycles() };
     if span.is_recording() {
         // Transient work next to the retired count: instructions run
         // down mispredicted paths, and the windows squashed.
@@ -114,7 +78,7 @@ pub fn profile<P: ExecPath>(machine: &mut Machine<P>, app: &str, interval: u64) 
         let (spec_instrs, squashes) =
             (pmu.count(HpcEvent::SpecInstrs), pmu.count(HpcEvent::SpecSquashes));
         let (decode_fills, decode_flushes) = machine.decode_cache_stats();
-        let (ff_jumps, ff_instrs) = machine.fast_forward_stats();
+        let ff = machine.fast_forward_stats();
         span.field("app", app)
             .field("interval", interval)
             .field("windows", samples.len())
@@ -127,8 +91,9 @@ pub fn profile<P: ExecPath>(machine: &mut Machine<P>, app: &str, interval: u64) 
             .field("decode_flushes", decode_flushes)
             .field("blocks_run", machine.blocks_run())
             .field("spec_fills", machine.spec_fills())
-            .field("ff_jumps", ff_jumps)
-            .field("ff_instrs", ff_instrs)
+            .field("ff_jumps", ff.jumps)
+            .field("ff_instrs", ff.instrs)
+            .field("ff_windows", ff.windows)
             .field("pages_touched", machine.mem().resident_pages());
         if let Some(start) = wall_start {
             let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;

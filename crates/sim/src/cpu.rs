@@ -35,7 +35,8 @@ use crate::error::{ExitReason, Fault, RunOutcome};
 use crate::image::{Image, LoadedImage, SegKind};
 use crate::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
 use crate::mem::{Memory, Perms, PAGE_SIZE};
-use crate::pmu::{HpcEvent, Pmu};
+use crate::pmu::{HpcEvent, Pmu, PmuSnapshot};
+use crate::sampling::{Sample, Windows};
 use crate::branch::{Counter, Predictor};
 use cr_spectre_telemetry as telemetry;
 
@@ -201,6 +202,12 @@ impl BlockCache {
             self.dirty[slot / 64] |= 1 << (slot % 64);
         }
         block.runs += 1;
+    }
+
+    /// Counts `runs` more complete runs of the block in `slot`.
+    fn ran_again(&mut self, slot: usize, runs: u64) {
+        self.dirty[slot / 64] |= 1 << (slot % 64);
+        self.blocks[slot].runs += runs;
     }
 
     /// Mirrors the pending runs of `slot` into `pmu`.
@@ -432,6 +439,95 @@ fn loop_shape(entry: u64, instrs: &[Instr]) -> Option<LoopShape> {
     closed_form.then_some(LoopShape { cond, counter, bound, counter_lhs, stride })
 }
 
+/// The cycles a loop-body instruction (see [`loop_shape`]) takes when no
+/// operand stalls it: what `exec` adds for it.
+fn body_latency(instr: Instr) -> u64 {
+    match instr {
+        Instr::Alu(op, ..) | Instr::Alui(op, ..) => alu_latency(op),
+        _ => 1,
+    }
+}
+
+/// Most PMU events one iteration of a counted loop moves: those of its
+/// body's instructions (`MovOps`, `AluOps`, `AluImmOps`, `MulOps`,
+/// `DivOps`, `ShiftOps`), its branch's two static events, the four every
+/// instruction moves and the four [`LOOP_EVENTS`].
+const ITERATION_LANES: usize = 16;
+
+/// How one steady iteration of a counted loop moves the counters,
+/// instruction by instruction: what [`Machine::close_windows_in_jump`]
+/// computes windows from. A body instruction moves only its static
+/// events, one L1i hit, one instruction and its fixed latency (no fetch
+/// misses, and no register stall, which the caller checked with
+/// `StallCyclesMem`); the branch moves the rest of the iteration's
+/// cycles and the dynamic events, so no body prefix holds those.
+struct Iteration {
+    /// The counters the iteration moves, the first `n_lanes` valid.
+    lanes: [HpcEvent; ITERATION_LANES],
+    n_lanes: usize,
+    len: usize,
+    /// `offsets[i]`: the cycle at which instruction `i` completes,
+    /// counted from the iteration's start (`o_i`).
+    offsets: [u64; BLOCK_LEN],
+    /// `prefix[i][j]`: how far `lanes[j]` has moved when instruction `i`
+    /// completes (`P_i`).
+    prefix: [[u64; ITERATION_LANES]; BLOCK_LEN],
+}
+
+impl Iteration {
+    /// The iteration of the loop block `instrs`, which takes `d` cycles
+    /// and moves the [`LOOP_EVENTS`] by `per_iteration`.
+    fn new(instrs: &[Instr], d: u64, per_iteration: &[u64; LOOP_EVENTS.len()]) -> Iteration {
+        let mut it = Iteration {
+            lanes: [HpcEvent::Instructions; ITERATION_LANES],
+            n_lanes: 0,
+            len: instrs.len(),
+            offsets: [0; BLOCK_LEN],
+            prefix: [[0; ITERATION_LANES]; BLOCK_LEN],
+        };
+        let mut at = 0;
+        for (i, &instr) in instrs.iter().enumerate() {
+            if i > 0 {
+                it.prefix[i] = it.prefix[i - 1];
+            }
+            let latency = if i + 1 < instrs.len() {
+                body_latency(instr)
+            } else {
+                for (&event, &n) in LOOP_EVENTS.iter().zip(per_iteration) {
+                    if n > 0 {
+                        it.count(i, event, n);
+                    }
+                }
+                debug_assert!(at <= d, "the body ends within the iteration");
+                d - at
+            };
+            for &event in static_events(instr) {
+                it.count(i, event, 1);
+            }
+            for event in [HpcEvent::Instructions, HpcEvent::L1iAccess, HpcEvent::L1iHit] {
+                it.count(i, event, 1);
+            }
+            it.count(i, HpcEvent::Cycles, latency);
+            at += latency;
+            it.offsets[i] = at;
+        }
+        it
+    }
+
+    /// Moves `event` by `n` at instruction `i`.
+    fn count(&mut self, i: usize, event: HpcEvent, n: u64) {
+        let j = match self.lanes[..self.n_lanes].iter().position(|&e| e == event) {
+            Some(j) => j,
+            None => {
+                self.lanes[self.n_lanes] = event;
+                self.n_lanes += 1;
+                self.n_lanes - 1
+            }
+        };
+        self.prefix[i][j] += n;
+    }
+}
+
 /// The dynamic PMU events one iteration of a counted loop can count in
 /// its steady state. The static ones are batched with the block's runs.
 const LOOP_EVENTS: [HpcEvent; 4] = [
@@ -454,13 +550,25 @@ struct LoopMark {
     events: [u64; LOOP_EVENTS.len()],
 }
 
+/// What the loop fast-forward has done so far (see
+/// [`Machine::fast_forward_stats`]). Host-side statistics, never PMU
+/// events.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FastForwardStats {
+    /// Jumps over the steady-state iterations of counted loops.
+    pub jumps: u64,
+    /// Instructions the jumps retired without interpreting them.
+    pub instrs: u64,
+    /// Sampling windows that closed inside a jump, computed in closed
+    /// form.
+    pub windows: u64,
+}
+
 /// The loop fast-forward's state and statistics.
 #[derive(Debug, Clone)]
 struct FastForward {
     mark: LoopMark,
-    /// Jumps made and the instructions they skipped.
-    jumps: u64,
-    instrs: u64,
+    stats: FastForwardStats,
 }
 
 impl FastForward {
@@ -473,8 +581,7 @@ impl FastForward {
                 l1i_misses: 0,
                 events: [0; LOOP_EVENTS.len()],
             },
-            jumps: 0,
-            instrs: 0,
+            stats: FastForwardStats::default(),
         }
     }
 }
@@ -573,6 +680,9 @@ pub struct Machine<P: ExecPath = Fast> {
     l1d_hits: u64,
     /// Counted loops' latest back edge, and the iterations skipped.
     ff: FastForward,
+    /// The window schedule while [`Machine::run_sampled`] runs: a loop
+    /// fast-forward may then jump across window edges.
+    windows: Option<Box<Windows>>,
 }
 
 impl<P: ExecPath> Machine<P> {
@@ -622,6 +732,7 @@ impl<P: ExecPath> Machine<P> {
             l1i_hits: 0,
             l1d_hits: 0,
             ff: FastForward::new(),
+            windows: None,
             mem,
             cfg,
         }
@@ -903,13 +1014,13 @@ impl<P: ExecPath> Machine<P> {
         self.blocks.spec_fills
     }
 
-    /// Loop fast-forward `(jumps, instructions)` so far: the jumps over
-    /// the steady-state iterations of counted loops, and the instructions
-    /// they retired without interpreting them, counted in
-    /// [`Machine::instructions`] too. Host-side statistics, never PMU
-    /// events, and both 0 on the reference path.
-    pub fn fast_forward_stats(&self) -> (u64, u64) {
-        (self.ff.jumps, self.ff.instrs)
+    /// Loop fast-forward statistics so far: the jumps over the
+    /// steady-state iterations of counted loops, the instructions they
+    /// retired without interpreting them (counted in
+    /// [`Machine::instructions`] too), and the sampling windows computed
+    /// inside them. All 0 on the reference path.
+    pub fn fast_forward_stats(&self) -> FastForwardStats {
+        self.ff.stats
     }
 
     // ---------------------------------------------------------------
@@ -972,6 +1083,40 @@ impl<P: ExecPath> Machine<P> {
         self.stopped.clone()
     }
 
+    /// Runs until the guest halts, exits or faults, sampling every counter
+    /// each `interval` cycles: returns each window's deltas in time order
+    /// (see [`crate::sampling`]), then how the run ended. A final partial
+    /// window is kept if it retired an instruction.
+    ///
+    /// The windows are those of a loop of [`Machine::run_until`] calls to
+    /// each edge, with a [`Machine::pmu`] read after each, counter for
+    /// counter. This is the one entry point where a counted loop's
+    /// fast-forward may jump across window edges: it computes each window
+    /// it crosses in closed form (DESIGN.md §10, "Windows inside a jump").
+    ///
+    /// # Panics
+    ///
+    /// Panics when `interval` is 0.
+    pub fn run_sampled(&mut self, interval: u64) -> (Vec<Sample>, ExitReason) {
+        assert!(interval > 0, "sampling interval must be nonzero");
+        let counters = self.pmu().snapshot();
+        self.windows = Some(Box::new(Windows::new(self.cycle, interval, counters)));
+        let exit = loop {
+            let edge = self.windows.as_ref().expect("sampling").next;
+            if let Some(exit) = self.run_until(edge) {
+                break exit;
+            }
+            // A jump across window edges moved the edge on: run on to it.
+            if self.cycle >= self.windows.as_ref().expect("sampling").next {
+                let counters = self.pmu().snapshot();
+                self.windows.as_mut().expect("sampling").close(self.cycle, counters);
+            }
+        };
+        let windows = self.windows.take().expect("sampling");
+        let counters = self.pmu().snapshot();
+        (windows.finish(self.cycle, counters), exit)
+    }
+
     /// Whether the block in `slot` fits the instruction budget whole. The
     /// budget is checked once for such a block; one that does not fit is
     /// stepped instruction by instruction, so the budget faults on the
@@ -994,7 +1139,7 @@ impl<P: ExecPath> Machine<P> {
     fn run_blocks(
         &mut self,
         mut slot: usize,
-        cycle_limit: u64,
+        mut cycle_limit: u64,
         max_instructions: u64,
     ) -> Result<(), Stopped> {
         let mut pc = self.pc;
@@ -1060,13 +1205,15 @@ impl<P: ExecPath> Machine<P> {
             {
                 break;
             }
-            // A counted loop's back edge: it may skip iterations.
+            // A counted loop's back edge: it may skip iterations, and
+            // window edges with them.
             if slot == from && next.shape.is_some() {
-                let (instrs, cycles) =
-                    self.fast_forward(slot, cycle, retired, cycle_limit, max_instructions);
+                let (instrs, cycles, limit) =
+                    self.fast_forward(slot, cycle, retired, hits, cycle_limit, max_instructions);
                 retired += instrs;
                 hits += instrs;
                 cycle += cycles;
+                cycle_limit = limit;
             }
         }
         self.pc = pc;
@@ -1157,9 +1304,11 @@ impl<P: ExecPath> Machine<P> {
     }
 
     /// The back edge of the counted loop in `slot` (see [`loop_shape`]),
-    /// just taken at `cycle` with `retired` instructions retired: skips
-    /// whole iterations once the loop is in a steady state, and returns
-    /// the instructions and cycles skipped, for the block loop's locals.
+    /// just taken at `cycle` with `retired` instructions retired and
+    /// `hits` L1i hits the block loop has not stored yet: skips whole
+    /// iterations once the loop is in a steady state. Returns the
+    /// instructions and cycles skipped, for the block loop's locals, and
+    /// its cycle limit from then on.
     ///
     /// Each back edge is compared with the one before ([`LoopMark`]). The
     /// loop is steady when the iteration between them hit the L1i on
@@ -1186,6 +1335,13 @@ impl<P: ExecPath> Machine<P> {
     /// budget. So those registers are exact again wherever the run next
     /// stops or leaves the loop, and the mispredicted exit, a window edge
     /// inside an iteration and the budget fault run as they always do.
+    ///
+    /// Under [`Machine::run_sampled`], `cycle_limit` is the edge of the
+    /// open window, and the jump may cross it and the edges after it when
+    /// the iteration stalls on no register: it then stops a whole
+    /// iteration before the first edge it does not cover, which becomes
+    /// the limit, and closes each window it crosses in closed form
+    /// ([`Machine::close_windows_in_jump`]).
     #[cold]
     #[inline(never)]
     fn fast_forward(
@@ -1193,9 +1349,10 @@ impl<P: ExecPath> Machine<P> {
         slot: usize,
         cycle: u64,
         retired: u64,
+        hits: u64,
         cycle_limit: u64,
         max_instructions: u64,
-    ) -> (u64, u64) {
+    ) -> (u64, u64, u64) {
         let block = &self.blocks.blocks[slot];
         let shape = block.shape.expect("a counted loop");
         let (entry, len) = (block.entry, block.len as u64);
@@ -1217,31 +1374,124 @@ impl<P: ExecPath> Machine<P> {
             && last.l1i_misses == self.ff.mark.l1i_misses
             && self.pred.pht.counter(branch_pc) == Counter::StrongTaken;
         if !steady {
-            return (0, 0);
+            return (0, 0, cycle_limit);
         }
         let d = cycle - last.cycle;
-        let k = shape
+        let per_iteration: [u64; LOOP_EVENTS.len()] =
+            std::array::from_fn(|i| self.ff.mark.events[i] - last.events[i]);
+        // The whole iterations left before the exit, within the budget and
+        // within the cycle counter's range, each less the one left to the
+        // interpreter; and those that also end below `cycle_limit`.
+        let k_max = shape
             .taken_left(self.regs[shape.counter.index()], self.regs[shape.bound.index()])
             .saturating_sub(1)
-            .min(((cycle_limit - 1 - cycle) / d).saturating_sub(1))
-            .min(((max_instructions - retired) / len).saturating_sub(1));
-        if k == 0 || !self.caches.repeat_instr_hits(entry, branch_pc, k * len) {
-            return (0, 0);
+            .min(((max_instructions - retired) / len).saturating_sub(1))
+            .min(((u64::MAX - cycle) / d).saturating_sub(1));
+        let below_limit = ((cycle_limit - 1 - cycle) / d).saturating_sub(1);
+        let mut k = k_max.min(below_limit);
+        if let Some(windows) = self.windows.as_deref() {
+            debug_assert_eq!(windows.next, cycle_limit, "the limit is the open window's edge");
+            let stalls = LOOP_EVENTS.iter().zip(&per_iteration).any(|(&event, &n)| {
+                event == HpcEvent::StallCyclesMem && n > 0
+            });
+            if k < k_max && !stalls && windows.interval > d {
+                // The most iterations whose next one, left to the
+                // interpreter, ends before the next edge; `below_limit`
+                // iterations are such.
+                k = k_max;
+                while k > below_limit && windows.edge_after(cycle + k * d) <= cycle + (k + 1) * d {
+                    k -= 1;
+                }
+            }
         }
+        if k == 0 || !self.caches.repeat_instr_hits(entry, branch_pc, k * len) {
+            return (0, 0, cycle_limit);
+        }
+        let limit = if k > below_limit {
+            self.close_windows_in_jump(slot, cycle, retired, hits, d, per_iteration, k)
+        } else {
+            cycle_limit
+        };
         let c = &mut self.regs[shape.counter.index()];
         *c = c.wrapping_add(k.wrapping_mul(shape.stride as i64 as u64));
         let mark = &mut self.ff.mark;
         for (i, &event) in LOOP_EVENTS.iter().enumerate() {
-            let per_iteration = mark.events[i] - last.events[i];
-            self.pmu.add(event, k * per_iteration);
-            mark.events[i] += k * per_iteration;
+            self.pmu.add(event, k * per_iteration[i]);
+            mark.events[i] += k * per_iteration[i];
         }
         mark.retired += k * len;
         mark.cycle += k * d;
-        self.blocks.blocks[slot].runs += k;
-        self.ff.jumps += 1;
-        self.ff.instrs += k * len;
-        (k * len, k * d)
+        self.blocks.ran_again(slot, k);
+        self.ff.stats.jumps += 1;
+        self.ff.stats.instrs += k * len;
+        (k * len, k * d, limit)
+    }
+
+    /// Closes each sampling window that a jump of `k` iterations of the
+    /// steady loop in `slot` crosses, from its back edge at `cycle` with
+    /// `retired` instructions retired and `hits` L1i hits not stored yet,
+    /// where an iteration takes `d` cycles and moves the [`LOOP_EVENTS`]
+    /// by `per_iteration`. Returns the first edge after the jump.
+    ///
+    /// With `S0` the counters at the back edge, `o_i` the cycle at which
+    /// instruction `i` of an iteration completes, counted from the
+    /// iteration's start, and `P_i` the counters it has moved by then
+    /// ([`Iteration`]), the window of edge `L` closes at the first `(n, i)`
+    /// with `cycle + n·d + o_i ≥ L`, as single steps would close it. It is
+    /// stamped `cycle + n·d + o_i`, and the counters then read `S0 +
+    /// n·P_last + P_i`. Only the counters an iteration moves differ
+    /// between two such windows, so each window after the jump's first is
+    /// computed on those alone.
+    #[allow(clippy::too_many_arguments)]
+    fn close_windows_in_jump(
+        &mut self,
+        slot: usize,
+        cycle: u64,
+        retired: u64,
+        hits: u64,
+        d: u64,
+        per_iteration: [u64; LOOP_EVENTS.len()],
+        k: u64,
+    ) -> u64 {
+        // `S0`: settle, then fold in the block loop's locals, which are
+        // ahead of what the machine has stored.
+        self.settle();
+        let mut at_edge = self.pmu.snapshot();
+        at_edge.add(HpcEvent::Cycles, cycle - self.cycle);
+        at_edge.add(HpcEvent::Instructions, retired - self.retired);
+        at_edge.add(HpcEvent::L1iAccess, hits);
+        at_edge.add(HpcEvent::L1iHit, hits);
+        let block = &self.blocks.blocks[slot];
+        let iteration = Iteration::new(&block.instrs[..block.len as usize], d, &per_iteration);
+        let windows = self.windows.as_deref_mut().expect("sampling");
+        let (end, last_lane) = (cycle + k * d, iteration.len - 1);
+        // The first window's deltas start from the last close; each next
+        // one's from the window before, on the iteration's lanes alone.
+        let mut deltas = at_edge - windows.last;
+        // `n·P_last + P_i` of the latest window, per lane.
+        let mut moved = [0u64; ITERATION_LANES];
+        let mut closed = 0;
+        while windows.next <= end {
+            let t = windows.next - cycle;
+            let n = (t - 1) / d;
+            let i = iteration.offsets[..iteration.len]
+                .iter()
+                .position(|&o| n * d + o >= t)
+                .expect("the branch completes the iteration at `d`");
+            for (j, &event) in iteration.lanes[..iteration.n_lanes].iter().enumerate() {
+                let now = n.wrapping_mul(iteration.prefix[last_lane][j]).wrapping_add(iteration.prefix[i][j]);
+                deltas.add(event, now.wrapping_sub(moved[j]));
+                moved[j] = now;
+            }
+            windows.push(cycle + n * d + iteration.offsets[i], std::mem::replace(&mut deltas, PmuSnapshot::zero()));
+            closed += 1;
+        }
+        for (&event, &lane) in iteration.lanes[..iteration.n_lanes].iter().zip(&moved) {
+            at_edge.add(event, lane);
+        }
+        windows.last = at_edge;
+        self.ff.stats.windows += closed;
+        windows.next
     }
 
     /// Publishes this machine's cumulative PMU and cache activity to the
@@ -1269,9 +1519,10 @@ impl<P: ExecPath> Machine<P> {
         let (fills, flushes) = self.decode_cache_stats();
         telemetry::counter("sim.decode_fills", fills);
         telemetry::counter("sim.decode_flushes", flushes);
-        let (jumps, skipped) = self.fast_forward_stats();
-        telemetry::counter("sim.ff_jumps", jumps);
-        telemetry::counter("sim.ff_instrs", skipped);
+        let ff = self.fast_forward_stats();
+        telemetry::counter("sim.ff_jumps", ff.jumps);
+        telemetry::counter("sim.ff_instrs", ff.instrs);
+        telemetry::counter("sim.ff_windows", ff.windows);
         telemetry::counter("sim.pages_touched", self.mem.resident_pages() as u64);
         self.caches.emit_telemetry();
     }

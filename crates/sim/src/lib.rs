@@ -19,7 +19,7 @@
 //!   code), optional ASLR, stack canaries and a shadow stack ([`mem`],
 //!   [`config`]);
 //! * a **performance monitoring unit** with the paper's 56 hardware
-//!   performance counters ([`pmu`]);
+//!   performance counters ([`pmu`]), sampled in windows ([`sampling`]);
 //! * an **`exec` system call** that injects a registered binary into the
 //!   running process image — the landing pad of the paper's ROP chain
 //!   ([`cpu::sys`]).
@@ -65,6 +65,7 @@ pub mod image;
 pub mod isa;
 pub mod mem;
 pub mod pmu;
+pub mod sampling;
 
 pub use config::{ExecPath, Fast, MachineConfig, ProtectConfig, Reference};
 pub use cpu::{Machine, StepStatus};
@@ -72,3 +73,4 @@ pub use error::{ExitReason, Fault, RunOutcome};
 pub use image::{Image, LoadedImage};
 pub use isa::{Instr, Reg};
 pub use pmu::{HpcEvent, Pmu, PmuSnapshot};
+pub use sampling::Sample;

@@ -252,6 +252,11 @@ impl PmuSnapshot {
         self.counts[event.index()]
     }
 
+    /// Adds `n` to `event`.
+    pub(crate) fn add(&mut self, event: HpcEvent, n: u64) {
+        self.counts[event.index()] += n;
+    }
+
     /// Instructions-per-cycle over this snapshot (0 when no cycles).
     pub fn ipc(&self) -> f64 {
         let cycles = self.count(HpcEvent::Cycles);
@@ -274,11 +279,14 @@ impl Index<HpcEvent> for PmuSnapshot {
 impl Sub for PmuSnapshot {
     type Output = PmuSnapshot;
 
-    /// Per-counter saturating difference: `self - earlier`.
+    /// Per-counter saturating difference: `self - earlier`. Branch-free,
+    /// so it vectorises: a lane whose subtraction borrows is masked to 0.
     fn sub(self, earlier: PmuSnapshot) -> PmuSnapshot {
         let mut counts = [0u64; HpcEvent::COUNT];
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c = self.counts[i].saturating_sub(earlier.counts[i]);
+        for ((c, &a), &b) in counts.iter_mut().zip(&self.counts).zip(&earlier.counts) {
+            let d = a.wrapping_sub(b);
+            let borrow = ((!a & b) | (!(a ^ b) & d)) >> 63;
+            *c = d & borrow.wrapping_sub(1);
         }
         PmuSnapshot { counts }
     }
@@ -399,6 +407,36 @@ mod tests {
         fresh.add(HpcEvent::Cycles, 2);
         let d = fresh.snapshot() - later;
         assert_eq!(d.count(HpcEvent::Cycles), 0);
+    }
+
+    /// The branch-free subtraction against per-lane `saturating_sub`, on
+    /// the edge values and on a seeded random sweep.
+    #[test]
+    fn delta_matches_saturating_sub_per_lane() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        let edges = [0, 1, 2, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, u64::MAX - 1, u64::MAX];
+        let mut pairs: Vec<(u64, u64)> =
+            edges.iter().flat_map(|&a| edges.iter().map(move |&b| (a, b))).collect();
+        let mut rng = StdRng::seed_from_u64(0x5eed_0056);
+        pairs.extend((0..20_000).map(|i| {
+            let a = rng.next_u64();
+            // Every other pair a near neighbour, where the borrow turns on
+            // the low bits.
+            let b = if i % 2 == 0 { rng.next_u64() } else { a.wrapping_add(rng.random_range(0..5)).wrapping_sub(2) };
+            (a, b)
+        }));
+        for chunk in pairs.chunks(HpcEvent::COUNT) {
+            let (mut a, mut b) = (PmuSnapshot::zero(), PmuSnapshot::zero());
+            for (i, &(x, y)) in chunk.iter().enumerate() {
+                a.counts[i] = x;
+                b.counts[i] = y;
+            }
+            let d = a - b;
+            for (i, &(x, y)) in chunk.iter().enumerate() {
+                assert_eq!(d.counts[i], x.saturating_sub(y), "{x} - {y}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig, Reference};
-use cr_spectre_sim::cpu::{Machine, StepStatus};
+use cr_spectre_sim::cpu::{FastForwardStats, Machine, StepStatus};
 use cr_spectre_sim::error::{ExitReason, Fault, RunOutcome};
 use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
 use cr_spectre_sim::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
@@ -521,8 +521,18 @@ fn hash_loop_program(shape: Dispersal, trips: i32, rounds: i32) -> Vec<Instr> {
 /// A started machine about to run `text` under an instruction budget of
 /// `max_instructions`.
 fn loop_machine<P: ExecPath>(text: &[Instr], max_instructions: u64) -> Machine<P> {
-    let cfg = MachineConfig { max_instructions, ..MachineConfig::default() };
-    let mut m = Machine::new(cfg.with_path::<P>());
+    loop_machine_on(&text_config(MachineConfig::default(), max_instructions), text)
+}
+
+/// `base` under an instruction budget of `max_instructions`.
+fn text_config(base: MachineConfig, max_instructions: u64) -> MachineConfig {
+    MachineConfig { max_instructions, ..base }
+}
+
+/// A started machine on path `P` with configuration `cfg`, about to run
+/// `text`.
+fn loop_machine_on<P: ExecPath>(cfg: &MachineConfig, text: &[Instr]) -> Machine<P> {
+    let mut m = Machine::new(cfg.clone().with_path::<P>());
     let li = m.load(&image_from(text)).unwrap();
     m.start(li.entry);
     m
@@ -575,24 +585,26 @@ fn run_until_every_limit_over_a_block_loop_matches_the_reference() {
 }
 
 /// A profiled run: the outcome, every window, the PC, registers and
-/// cache counters at each window's end, and the fast-forward's skipped
-/// instructions.
-type ProfiledRun = (RunOutcome, Vec<(u64, PmuSnapshot)>, Vec<(u64, Vec<u64>, CacheCounts)>, u64);
+/// cache counters at each window's end, and the profiled machine's
+/// fast-forward statistics.
+type ProfiledRun =
+    (RunOutcome, Vec<(u64, PmuSnapshot)>, Vec<(u64, Vec<u64>, CacheCounts)>, FastForwardStats);
 
-/// Runs `text` through the profiler at `interval` under an instruction
-/// budget, then again through the same windows with `run_until`, reading
-/// the state a sampler of registers and cache counters would see.
-fn profile_program<P: ExecPath>(
-    text: &[Instr],
-    interval: u64,
-    max_instructions: u64,
-) -> ProfiledRun {
-    let machine = || loop_machine::<P>(text, max_instructions);
-    let mut m = machine();
+/// Runs `text` through the profiler at `interval` on a machine configured
+/// as `cfg`, then again through the same windows with `run_until`, reading
+/// the PMU and the state a sampler of registers and cache counters would
+/// see. The `run_until` ladder never jumps across a window edge, and it
+/// finds each next edge with the sampler's stepping loop, so its windows
+/// check the profiler's closed-form windows and edge rule on the same
+/// path.
+fn profile_program<P: ExecPath>(cfg: &MachineConfig, text: &[Instr], interval: u64) -> ProfiledRun {
+    let mut m = loop_machine_on::<P>(cfg, text);
     let trace = cr_spectre_hpc::profiler::profile(&mut m, "loop", interval);
-    let windows = trace.samples.iter().map(|s| (s.at_cycle, s.deltas)).collect();
-    let mut m = machine();
-    let mut states = Vec::new();
+    let windows: Vec<_> = trace.samples.iter().map(|s| (s.at_cycle, s.deltas)).collect();
+    let stats = m.fast_forward_stats();
+    let mut m = loop_machine_on::<P>(cfg, text);
+    let (mut ladder, mut states) = (Vec::new(), Vec::new());
+    let mut last = m.pmu().snapshot();
     let mut next = interval;
     loop {
         let exit = m.run_until(next);
@@ -600,6 +612,12 @@ fn profile_program<P: ExecPath>(
         let levels = [caches.l1d(), caches.l1i(), caches.l2()]
             .map(|c| (c.hits(), c.misses(), c.evictions()));
         states.push((m.pc(), Reg::ALL.iter().map(|&r| m.reg(r)).collect(), levels));
+        let counters = m.pmu().snapshot();
+        let deltas = counters - last;
+        last = counters;
+        if exit.is_none() || deltas.count(HpcEvent::Instructions) > 0 {
+            ladder.push((m.cycles(), deltas));
+        }
         if exit.is_some() {
             break;
         }
@@ -607,19 +625,18 @@ fn profile_program<P: ExecPath>(
             next += interval;
         }
     }
-    (trace.outcome, windows, states, m.fast_forward_stats().1)
+    assert_eq!(windows.len(), ladder.len(), "interval {interval}: profiled vs run_until windows");
+    for (i, (got, want)) in windows.iter().zip(&ladder).enumerate() {
+        assert_eq!(got, want, "interval {interval}: profiled vs run_until window {i}");
+    }
+    (trace.outcome, windows, states, stats)
 }
 
 /// Asserts that `text` runs identically on both paths, window by window,
-/// and returns the fast path's run.
-fn assert_profiles_match(
-    what: &str,
-    text: &[Instr],
-    interval: u64,
-    max_instructions: u64,
-) -> ProfiledRun {
-    let fast = profile_program::<Fast>(text, interval, max_instructions);
-    let slow = profile_program::<Reference>(text, interval, max_instructions);
+/// on machines configured as `cfg`, and returns the fast path's run.
+fn assert_profiles_match(what: &str, cfg: &MachineConfig, text: &[Instr], interval: u64) -> ProfiledRun {
+    let fast = profile_program::<Fast>(cfg, text, interval);
+    let slow = profile_program::<Reference>(cfg, text, interval);
     assert_eq!(fast.0, slow.0, "{what}: outcome");
     assert_eq!(fast.1.len(), slow.1.len(), "{what}: window count");
     for (i, (got, want)) in fast.1.iter().zip(&slow.1).enumerate() {
@@ -629,30 +646,74 @@ fn assert_profiles_match(
     for (i, (got, want)) in fast.2.iter().zip(&slow.2).enumerate() {
         assert_eq!(got, want, "{what}: pc, registers and caches after window {i}");
     }
-    assert_eq!(slow.3, 0, "{what}: the reference path never skips");
+    assert_eq!(slow.3, FastForwardStats::default(), "{what}: the reference path never skips");
     fast
+}
+
+/// The cycles one steady iteration of `shape`'s dispersal loop takes on
+/// a machine configured as `cfg`: what one more trip adds to a run.
+fn iteration_cycles(shape: Dispersal, cfg: &MachineConfig) -> u64 {
+    let cycles = |trips| {
+        let mut m = loop_machine_on::<Reference>(cfg, &hash_loop_program(shape, trips, 1));
+        m.run().cycles
+    };
+    cycles(11) - cycles(10)
 }
 
 #[test]
 fn dispersal_loops_fast_forward_exactly() {
     for shape in [Dispersal::Bare, Dispersal::Hash] {
-        for trips in [1, 2, 3, 2_500] {
-            let text = hash_loop_program(shape, trips, 3);
-            let total = profile_program::<Reference>(&text, u64::MAX, u64::MAX).0.instructions;
-            // Budgets that end the run inside the first, second and third
-            // round's loop, one instruction short of the end, and none.
-            for budget in [total / 5, total / 2 + 1, total * 5 / 6, total - 1, u64::MAX] {
-                for interval in [1, 7, 97, 2_000, 7_919] {
-                    let what =
-                        format!("{shape:?} × {trips}, interval {interval}, budget {budget}");
-                    let fast = assert_profiles_match(&what, &text, interval, budget);
-                    // Long loops under long windows are what the fast-forward
-                    // is for: it must engage, or it only costs.
-                    if trips == 2_500 && interval >= 2_000 && budget == u64::MAX {
-                        let skipped = fast.3 as f64 / fast.0.instructions as f64;
-                        assert!(skipped >= 0.9, "{what}: skipped only {skipped:.3}");
+        // Under CSF the back edge also stalls until it resolves and
+        // fences: its dynamic events are `StallCyclesBranch` and `Fences`
+        // besides `BranchTaken`.
+        for (csf, base) in [(false, MachineConfig::default()), (true, MachineConfig::csf())] {
+            let d = iteration_cycles(shape, &base);
+            // Windows of one iteration and less never let a jump cross an
+            // edge; one cycle more makes nearly every window closed-form.
+            let intervals = [1, 7, 97, d - 1, d, d + 1, 2_000, 7_919];
+            for trips in [1, 2, 3, 2_500] {
+                let text = hash_loop_program(shape, trips, 3);
+                let unbudgeted = text_config(base.clone(), u64::MAX);
+                let total = profile_program::<Reference>(&unbudgeted, &text, u64::MAX).0.instructions;
+                // Budgets that end the run inside the first, second and
+                // third round's loop, one instruction short of the end,
+                // and none.
+                for budget in [total / 5, total / 2 + 1, total * 5 / 6, total - 1, u64::MAX] {
+                    let cfg = text_config(base.clone(), budget);
+                    for interval in intervals {
+                        let what = format!(
+                            "{shape:?} × {trips}, csf {csf}, interval {interval}, budget {budget}"
+                        );
+                        let fast = assert_profiles_match(&what, &cfg, &text, interval);
+                        // Long loops under long windows are what the
+                        // fast-forward is for: it must engage, skipping
+                        // the iterations and computing the windows they
+                        // hold, or it only costs.
+                        if trips == 2_500 && interval >= 2_000 && budget == u64::MAX {
+                            let skipped = fast.3.instrs as f64 / fast.0.instructions as f64;
+                            assert!(skipped >= 0.9, "{what}: skipped only {skipped:.3}");
+                        }
+                        if trips == 2_500 && interval == 2_000 && budget == u64::MAX {
+                            let closed = fast.3.windows as f64 / fast.1.len() as f64;
+                            assert!(closed >= 0.75, "{what}: closed only {closed:.3} of the windows");
+                        }
                     }
                 }
+            }
+            // An interval one cycle past a multiple of the iteration moves
+            // each next edge one cycle further into an iteration: over the
+            // 50 windows of a 2500-trip round, edges fall after every
+            // instruction, so each closes a window in closed form.
+            let text = hash_loop_program(shape, 2_500, 3);
+            for interval in [50 * d + 1, 50 * d - 1] {
+                let what = format!("{shape:?} phase sweep, csf {csf}, interval {interval}");
+                let cfg = text_config(base.clone(), u64::MAX);
+                let fast = assert_profiles_match(&what, &cfg, &text, interval);
+                let phases: std::collections::BTreeSet<u64> =
+                    fast.1.iter().map(|(at_cycle, _)| at_cycle % d).collect();
+                let len = text.len() as u64 - 6; // the iteration's instructions
+                assert!(phases.len() as u64 >= len, "{what}: windows closed at {phases:?} mod {d}");
+                assert!(fast.3.windows * 10 >= fast.1.len() as u64 * 9, "{what}: {:?}", fast.3);
             }
         }
     }
@@ -703,8 +764,8 @@ fn loop_warm_up_is_never_skipped() {
         let text = warm_up_program(evict);
         for interval in [97, 2_000, u64::MAX] {
             let what = format!("warm-up, evict {evict}, interval {interval}");
-            let fast = assert_profiles_match(&what, &text, interval, u64::MAX);
-            assert!(fast.3 > 0, "{what}: the loop is skipped once warm");
+            let fast = assert_profiles_match(&what, &MachineConfig::default(), &text, interval);
+            assert!(fast.3.instrs > 0, "{what}: the loop is skipped once warm");
             let mispredicts: u64 =
                 fast.1.iter().map(|(_, d)| d.count(HpcEvent::BranchMispredicts)).sum();
             assert!(mispredicts >= 3, "{what}: the long round mispredicted its first back edges");

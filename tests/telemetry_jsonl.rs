@@ -102,6 +102,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
                         "spec_fills",
                         "ff_jumps",
                         "ff_instrs",
+                        "ff_windows",
                         "pages_touched",
                     ] {
                         assert!(fields.get(key).is_some(), "line {i}: no {key} field");
@@ -118,10 +119,11 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
                         "line {i}: mean executed block length {mean_block} outside (1, 8]"
                     );
                     // Every CR-Spectre trial runs a dispersal loop, which the
-                    // loop fast-forward skips most of.
+                    // loop fast-forward skips most of, windows included.
                     let app = fields.get("app").and_then(Value::as_str).unwrap_or("");
                     if app.starts_with("cr_") {
                         assert!(count("ff_instrs") > 0.0, "line {i}: {app} skipped no iteration");
+                        assert!(count("ff_windows") > 0.0, "line {i}: {app} jumped no window");
                     }
                     // Guest memory is sparse: a run touches some pages, never all.
                     let pages = fields.get("pages_touched").and_then(Value::as_f64).unwrap_or(0.0);
@@ -173,6 +175,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
         "sim.decode_flushes",
         "sim.ff_jumps",
         "sim.ff_instrs",
+        "sim.ff_windows",
         "sim.pages_touched",
         "hpc.trials",
         "par_map.jobs",
