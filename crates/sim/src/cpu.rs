@@ -273,8 +273,10 @@ fn ends_block(instr: Instr) -> bool {
 }
 
 /// The PMU events `instr` counts every time it completes, whatever its
-/// operands and the machine state: what a block batches. [`Machine::exec`]
-/// counts the same events itself when not batched.
+/// operands and the machine state: the one source of them, which a block
+/// batches and a single step counts after [`Machine::exec`]. An
+/// instruction that stops the machine has counted them only as
+/// [`Machine::counted_when_stopped`] says.
 fn static_events(instr: Instr) -> &'static [HpcEvent] {
     use HpcEvent::*;
     match instr {
@@ -1160,7 +1162,7 @@ impl<P: ExecPath> Machine<P> {
                     hits -= 1;
                     cycle += latency;
                 }
-                match self.exec::<true>(pc, instr, &mut cycle) {
+                match self.exec(pc, instr, &mut cycle) {
                     Ok(next_pc) => pc = next_pc,
                     Err(stopped) => {
                         self.store_counts(cycle, retired, hits);
@@ -1185,7 +1187,7 @@ impl<P: ExecPath> Machine<P> {
             // Counted before the last instruction executes: a mispredicted
             // branch speculates, and speculation may refill this very slot.
             self.blocks.ran(slot);
-            match self.exec::<true>(pc, &last, &mut cycle) {
+            match self.exec(pc, &last, &mut cycle) {
                 Ok(next_pc) => pc = next_pc,
                 Err(stopped) => {
                     self.store_counts(cycle, retired, hits);
@@ -1256,22 +1258,14 @@ impl<P: ExecPath> Machine<P> {
     }
 
     /// The last instruction of the block in `slot`, at `pc`, stopped the
-    /// machine after its run was counted. A system call, or a return the
-    /// shadow stack stopped, had counted its static events, so the run
-    /// stands as counted (and the slot may hold another block by now).
-    /// Any other stop is a fault raised before the instruction counted
-    /// anything, and before it could speculate: the run is taken back and
-    /// charged as left early.
+    /// machine after its run was counted. When the instruction counts its
+    /// static events all the same ([`Machine::counted_when_stopped`]), the
+    /// run stands as counted (and the slot may hold another block by now).
+    /// Any other stop came before the instruction could speculate: the
+    /// run is taken back and charged as left early.
     #[cold]
     fn stop_in_block_end(&mut self, slot: usize, pc: u64, instr: Instr) {
-        let counted = match instr {
-            Instr::Syscall => true,
-            Instr::Ret => {
-                matches!(self.stopped, Some(ExitReason::Fault(Fault::ShadowStack { .. })))
-            }
-            _ => false,
-        };
-        if counted {
+        if self.counted_when_stopped(instr) {
             self.pc = pc;
         } else {
             let block = &mut self.blocks.blocks[slot];
@@ -1590,10 +1584,30 @@ impl<P: ExecPath> Machine<P> {
         };
         self.retired += 1;
         let mut cycle = self.cycle;
-        let next_pc = self.exec::<false>(pc, &instr, &mut cycle);
+        let next_pc = self.exec(pc, &instr, &mut cycle);
         self.cycle = cycle;
+        if next_pc.is_ok() || self.counted_when_stopped(instr) {
+            for &event in static_events(instr) {
+                self.pmu.incr(event);
+            }
+        }
         self.pc = next_pc?;
         Ok(())
+    }
+
+    /// Whether `instr`, which just stopped the machine, counts its
+    /// [`static_events`]: a system call, which stops only once it has run,
+    /// and a return the shadow stack stopped after it resolved. Any other
+    /// stop is a fault raised before the instruction completed (or
+    /// `halt`, which has none).
+    fn counted_when_stopped(&self, instr: Instr) -> bool {
+        match instr {
+            Instr::Syscall => true,
+            Instr::Ret => {
+                matches!(self.stopped, Some(ExitReason::Fault(Fault::ShadowStack { .. })))
+            }
+            _ => false,
+        }
     }
 
     /// Stops the machine on a failed architectural fetch.
@@ -1850,16 +1864,12 @@ impl<P: ExecPath> Machine<P> {
     /// Executes one decoded instruction at `pc` (inlined into the step
     /// loop) and returns the next PC. `Err` means the instruction stopped
     /// the machine. Time is `cycle`, which the caller keeps in a local
-    /// (`self.cycle` is current only while a system call runs). When
-    /// `BATCHED` (inside a block run), the instruction's [`static_events`]
-    /// are left to the block's accounting.
+    /// (`self.cycle` is current only while a system call runs). Counts
+    /// only the instruction's dynamic events: its [`static_events`] are
+    /// the caller's, batched by a block run and counted by a single step
+    /// once `exec` returns (see [`Machine::counted_when_stopped`]).
     #[inline(always)]
-    fn exec<const BATCHED: bool>(
-        &mut self,
-        pc: u64,
-        instr: &Instr,
-        cycle: &mut u64,
-    ) -> Result<u64, Stopped> {
+    fn exec(&mut self, pc: u64, instr: &Instr, cycle: &mut u64) -> Result<u64, Stopped> {
         let mut next_pc = pc.wrapping_add(INSTR_BYTES as u64);
         match *instr {
             Instr::Nop => *cycle += 1,
@@ -1870,7 +1880,6 @@ impl<P: ExecPath> Machine<P> {
             Instr::Ldi(rd, imm) => {
                 self.regs[rd.index()] = imm as i64 as u64;
                 self.reg_ready[rd.index()] = *cycle;
-                self.count::<BATCHED>(HpcEvent::MovOps);
                 *cycle += 1;
             }
             Instr::Ldih(rd, imm) => {
@@ -1878,28 +1887,23 @@ impl<P: ExecPath> Machine<P> {
                 let low = self.regs[rd.index()] & 0xffff_ffff;
                 self.regs[rd.index()] = ((imm as u32 as u64) << 32) | low;
                 self.reg_ready[rd.index()] = *cycle;
-                self.count::<BATCHED>(HpcEvent::MovOps);
                 *cycle += 1;
             }
             Instr::Mov(rd, rs) => {
                 self.wait_ready(cycle, &[rs]);
                 self.regs[rd.index()] = self.regs[rs.index()];
                 self.reg_ready[rd.index()] = *cycle;
-                self.count::<BATCHED>(HpcEvent::MovOps);
                 *cycle += 1;
             }
             Instr::Alu(op, rd, rs1, rs2) => {
                 self.wait_ready(cycle, &[rs1, rs2]);
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], self.regs[rs2.index()]);
-                self.count_alu::<BATCHED>(op);
                 *cycle += alu_latency(op);
                 self.reg_ready[rd.index()] = *cycle;
             }
             Instr::Alui(op, rd, rs1, imm) => {
                 self.wait_ready(cycle, &[rs1]);
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], imm as i64 as u64);
-                self.count::<BATCHED>(HpcEvent::AluImmOps);
-                self.count_alu::<BATCHED>(op);
                 *cycle += alu_latency(op);
                 self.reg_ready[rd.index()] = *cycle;
             }
@@ -1910,12 +1914,6 @@ impl<P: ExecPath> Machine<P> {
                     Ok(v) => v,
                     Err(fault) => return Err(self.page_fault(fault)),
                 };
-                self.count::<BATCHED>(HpcEvent::Loads);
-                match w {
-                    Width::B => self.count::<BATCHED>(HpcEvent::LoadBytes),
-                    Width::D => self.count::<BATCHED>(HpcEvent::LoadDwords),
-                    Width::W => {}
-                }
                 self.regs[rd.index()] = value;
                 *cycle += 1;
                 // InvisiSpec: every committed load re-validates against
@@ -1934,7 +1932,6 @@ impl<P: ExecPath> Machine<P> {
                 if let Err(fault) = self.store_value(addr, w, self.regs[rs2.index()]) {
                     return Err(self.page_fault(fault));
                 }
-                self.count::<BATCHED>(HpcEvent::Stores);
                 *cycle += 1;
             }
             Instr::Br(cond, rs1, rs2, imm) => {
@@ -1942,8 +1939,6 @@ impl<P: ExecPath> Machine<P> {
                 let predicted = self.pred.pht.predict(pc);
                 let resolve_at = self.resolve_cycle(*cycle, &[rs1, rs2]);
                 self.pred.pht.update(pc, taken);
-                self.count::<BATCHED>(HpcEvent::BranchInstrs);
-                self.count::<BATCHED>(HpcEvent::CondBranches);
                 self.pmu.incr(if taken {
                     HpcEvent::BranchTaken
                 } else {
@@ -1979,14 +1974,10 @@ impl<P: ExecPath> Machine<P> {
                 }
             }
             Instr::Jmp(imm) => {
-                self.count::<BATCHED>(HpcEvent::BranchInstrs);
-                self.count::<BATCHED>(HpcEvent::Jumps);
                 *cycle += 1;
                 next_pc = pc.wrapping_add(imm as i64 as u64);
             }
             Instr::JmpR(rs) => {
-                self.count::<BATCHED>(HpcEvent::BranchInstrs);
-                self.count::<BATCHED>(HpcEvent::IndirectBranches);
                 let predicted = self.pred.btb.predict(pc);
                 let resolve_at = self.resolve_cycle(*cycle, &[rs]);
                 self.wait_ready(cycle, &[rs]);
@@ -2016,8 +2007,6 @@ impl<P: ExecPath> Machine<P> {
                 if self.cfg.protect.shadow_stack {
                     self.shadow_stack.push(ret);
                 }
-                self.count::<BATCHED>(HpcEvent::BranchInstrs);
-                self.count::<BATCHED>(HpcEvent::Calls);
                 *cycle += 1;
                 next_pc = pc.wrapping_add(imm as i64 as u64);
             }
@@ -2030,9 +2019,6 @@ impl<P: ExecPath> Machine<P> {
                 if self.cfg.protect.shadow_stack {
                     self.shadow_stack.push(ret);
                 }
-                self.count::<BATCHED>(HpcEvent::BranchInstrs);
-                self.count::<BATCHED>(HpcEvent::Calls);
-                self.count::<BATCHED>(HpcEvent::IndirectBranches);
                 let predicted = self.pred.btb.predict(pc);
                 self.pred.btb.update(pc, target);
                 if predicted != Some(target) {
@@ -2049,8 +2035,6 @@ impl<P: ExecPath> Machine<P> {
                     Err(fault) => return Err(self.page_fault(fault)),
                 };
                 self.regs[Reg::SP.index()] = sp.wrapping_add(8);
-                self.count::<BATCHED>(HpcEvent::BranchInstrs);
-                self.count::<BATCHED>(HpcEvent::Returns);
                 let predicted = self.pred.rsb.pop();
                 let resolve_at = *cycle + latency + BRANCH_RESOLVE_EXTRA;
                 if predicted == Some(target) {
@@ -2083,7 +2067,6 @@ impl<P: ExecPath> Machine<P> {
                 self.wait_ready(cycle, &[rs, Reg::SP]);
                 let value = self.regs[rs.index()];
                 self.push_u64(value)?;
-                self.count::<BATCHED>(HpcEvent::Pushes);
                 *cycle += 1;
             }
             Instr::Pop(rd) => {
@@ -2095,7 +2078,6 @@ impl<P: ExecPath> Machine<P> {
                 };
                 self.regs[rd.index()] = value;
                 self.regs[Reg::SP.index()] = sp.wrapping_add(8);
-                self.count::<BATCHED>(HpcEvent::Pops);
                 *cycle += 1;
                 self.reg_ready[rd.index()] = *cycle + latency;
             }
@@ -2106,7 +2088,6 @@ impl<P: ExecPath> Machine<P> {
                 self.wait_ready(cycle, &[rs1]);
                 let addr = self.regs[rs1.index()].wrapping_add(imm as i64 as u64);
                 self.caches.flush_line(addr);
-                self.count::<BATCHED>(HpcEvent::Flushes);
                 *cycle += 4;
             }
             Instr::MFence => {
@@ -2117,13 +2098,11 @@ impl<P: ExecPath> Machine<P> {
                     self.pmu.add(HpcEvent::StallCyclesMem, stall);
                     *cycle += stall;
                 }
-                self.count::<BATCHED>(HpcEvent::Fences);
                 *cycle += 3;
             }
             Instr::Rdtsc(rd) => {
                 self.regs[rd.index()] = *cycle;
                 self.reg_ready[rd.index()] = *cycle;
-                self.count::<BATCHED>(HpcEvent::Rdtscs);
                 *cycle += 1;
             }
             Instr::Syscall => {
@@ -2133,7 +2112,6 @@ impl<P: ExecPath> Machine<P> {
                     let stall = ready - *cycle;
                     *cycle += stall;
                 }
-                self.count::<BATCHED>(HpcEvent::Syscalls);
                 *cycle += SYSCALL_COST;
                 self.cycle = *cycle;
                 if let Some(new_pc) = self.do_syscall(next_pc)? {
@@ -2142,25 +2120,6 @@ impl<P: ExecPath> Machine<P> {
             }
         }
         Ok(next_pc)
-    }
-
-    /// Counts a static event, unless a block run batches it.
-    #[inline(always)]
-    fn count<const BATCHED: bool>(&mut self, event: HpcEvent) {
-        if !BATCHED {
-            self.pmu.incr(event);
-        }
-    }
-
-    #[inline(always)]
-    fn count_alu<const BATCHED: bool>(&mut self, op: AluOp) {
-        self.count::<BATCHED>(HpcEvent::AluOps);
-        match op {
-            AluOp::Mul => self.count::<BATCHED>(HpcEvent::MulOps),
-            AluOp::Divu | AluOp::Remu => self.count::<BATCHED>(HpcEvent::DivOps),
-            AluOp::Shl | AluOp::Shr | AluOp::Sar => self.count::<BATCHED>(HpcEvent::ShiftOps),
-            _ => {}
-        }
     }
 
     #[inline(always)]

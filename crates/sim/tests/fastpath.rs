@@ -10,11 +10,11 @@
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 use cr_spectre_sim::config::{ExecPath, Fast, MachineConfig, Reference};
-use cr_spectre_sim::cpu::{FastForwardStats, Machine, StepStatus};
+use cr_spectre_sim::cpu::{sys, FastForwardStats, Machine, StepStatus};
 use cr_spectre_sim::error::{ExitReason, Fault, RunOutcome};
 use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
 use cr_spectre_sim::isa::{AluOp, BranchCond, Instr, Reg, Width, INSTR_BYTES};
-use cr_spectre_sim::mem::{Perms, PAGE_SIZE};
+use cr_spectre_sim::mem::{AccessKind, MemFault, Perms, PAGE_SIZE};
 use cr_spectre_sim::pmu::{HpcEvent, PmuSnapshot};
 
 fn image_from(instrs: &[Instr]) -> Image {
@@ -770,5 +770,275 @@ fn loop_warm_up_is_never_skipped() {
                 fast.1.iter().map(|(_, d)| d.count(HpcEvent::BranchMispredicts)).sum();
             assert!(mispredicts >= 3, "{what}: the long round mispredicted its first back edges");
         }
+    }
+}
+
+/// Every event an instruction counts whatever its operands and the
+/// machine state: the events of `static_events` in `cpu.rs`, which a block
+/// batches and a single step counts after it executes.
+const STATIC_CLASS: [HpcEvent; 22] = [
+    HpcEvent::MovOps,
+    HpcEvent::AluOps,
+    HpcEvent::AluImmOps,
+    HpcEvent::MulOps,
+    HpcEvent::DivOps,
+    HpcEvent::ShiftOps,
+    HpcEvent::Loads,
+    HpcEvent::LoadBytes,
+    HpcEvent::LoadDwords,
+    HpcEvent::Stores,
+    HpcEvent::BranchInstrs,
+    HpcEvent::CondBranches,
+    HpcEvent::Jumps,
+    HpcEvent::IndirectBranches,
+    HpcEvent::Calls,
+    HpcEvent::Returns,
+    HpcEvent::Pushes,
+    HpcEvent::Pops,
+    HpcEvent::Flushes,
+    HpcEvent::Fences,
+    HpcEvent::Rdtscs,
+    HpcEvent::Syscalls,
+];
+
+/// The static-class events `m` has counted, the nonzero ones in
+/// [`STATIC_CLASS`] order.
+fn static_counts<P: ExecPath>(m: &mut Machine<P>) -> Vec<(HpcEvent, u64)> {
+    let pmu = m.pmu();
+    STATIC_CLASS.iter().map(|&e| (e, pmu.count(e))).filter(|&(_, n)| n > 0).collect()
+}
+
+/// `events` counted once each, as [`static_counts`] reports them.
+fn once_each(events: &[HpcEvent]) -> Vec<(HpcEvent, u64)> {
+    STATIC_CLASS.iter().filter(|e| events.contains(e)).map(|&e| (e, 1)).collect()
+}
+
+/// A started machine on path `P`, configured as `cfg`, about to run
+/// `lead` `nop`s, then `instr`, then seven `nop`s and a `halt`. The
+/// operands let every instruction complete: `r1` points at a data page,
+/// `r2` = 3, `r3` and the word at `sp` (inside the data page) hold the
+/// address after `instr`, the target of every control transfer, and `r0`
+/// names `getrand`, a system call that returns. `regs` then overrides
+/// registers.
+fn pin_machine<P: ExecPath>(
+    cfg: &MachineConfig,
+    lead: usize,
+    instr: Instr,
+    regs: &[(Reg, u64)],
+) -> Machine<P> {
+    let mut text = vec![Instr::Nop; lead];
+    text.push(instr);
+    text.extend([Instr::Nop; 7]);
+    text.push(Instr::Halt);
+    let mut m = loop_machine_on::<P>(cfg, &text);
+    let data = m.alloc(PAGE_SIZE, Perms::RW);
+    let after = m.pc() + (lead as u64 + 1) * INSTR_BYTES as u64;
+    m.mem_mut().poke(data + 256, &after.to_le_bytes());
+    for (reg, value) in
+        [(Reg::R0, sys::GETRAND), (Reg::R1, data), (Reg::R2, 3), (Reg::R3, after), (Reg::SP, data + 256)]
+    {
+        m.set_reg(reg, value);
+    }
+    for &(reg, value) in regs {
+        m.set_reg(reg, value);
+    }
+    m
+}
+
+/// Steps `m` until it stops: its exit and static-class counts.
+fn stepped<P: ExecPath>(mut m: Machine<P>) -> (ExitReason, Vec<(HpcEvent, u64)>) {
+    loop {
+        if let StepStatus::Done(exit) = m.step() {
+            return (exit, static_counts(&mut m));
+        }
+    }
+}
+
+/// Runs `m` with `run_until` until it stops: its exit, static-class
+/// counts and the blocks it ran.
+fn run_whole<P: ExecPath>(mut m: Machine<P>) -> (ExitReason, Vec<(HpcEvent, u64)>, u64) {
+    let exit = m.run_until(u64::MAX).expect("the machine stops");
+    (exit, static_counts(&mut m), m.blocks_run())
+}
+
+/// The kind of `instr` the opcode table must cover: an exhaustive match,
+/// so a new opcode does not compile until it has its line.
+fn opcode_kind(instr: Instr) -> String {
+    match instr {
+        Instr::Alu(op, ..) => format!("Alu {op:?}"),
+        Instr::Alui(op, ..) => format!("Alui {op:?}"),
+        Instr::Ld(width, ..) => format!("Ld {width:?}"),
+        Instr::St(width, ..) => format!("St {width:?}"),
+        Instr::Nop
+        | Instr::Halt
+        | Instr::Ldi(..)
+        | Instr::Ldih(..)
+        | Instr::Mov(..)
+        | Instr::Br(..)
+        | Instr::Jmp(_)
+        | Instr::JmpR(_)
+        | Instr::Call(_)
+        | Instr::CallR(_)
+        | Instr::Ret
+        | Instr::Push(_)
+        | Instr::Pop(_)
+        | Instr::ClFlush(..)
+        | Instr::MFence
+        | Instr::Rdtsc(_)
+        | Instr::Syscall => format!("{instr:?}").split('(').next().unwrap_or_default().to_string(),
+    }
+}
+
+/// The static events of every opcode, every ALU operation of `alu` and
+/// `alui` and every width of `ld` and `st`, written out here: the oracle
+/// of `static_events`, which is the one source of them on both paths.
+/// Each instruction runs as a single step and inside a block run (a whole
+/// run, whose events a block batches), on both paths.
+#[test]
+fn static_events_of_every_opcode() {
+    use HpcEvent::*;
+    let b = INSTR_BYTES as i32;
+    let mut cases: Vec<(Instr, Vec<HpcEvent>)> = vec![
+        (Instr::Nop, vec![]),
+        (Instr::Halt, vec![]),
+        (Instr::Ldi(Reg::R4, -5), vec![MovOps]),
+        (Instr::Ldih(Reg::R4, 7), vec![MovOps]),
+        (Instr::Mov(Reg::R4, Reg::R2), vec![MovOps]),
+        (Instr::Ld(Width::B, Reg::R4, Reg::R1, 8), vec![Loads, LoadBytes]),
+        (Instr::Ld(Width::W, Reg::R4, Reg::R1, 8), vec![Loads]),
+        (Instr::Ld(Width::D, Reg::R4, Reg::R1, 8), vec![Loads, LoadDwords]),
+        (Instr::St(Width::B, Reg::R1, Reg::R2, 16), vec![Stores]),
+        (Instr::St(Width::W, Reg::R1, Reg::R2, 16), vec![Stores]),
+        (Instr::St(Width::D, Reg::R1, Reg::R2, 16), vec![Stores]),
+        (Instr::Br(BranchCond::Eq, Reg::R2, Reg::R2, b), vec![BranchInstrs, CondBranches]),
+        (Instr::Jmp(b), vec![BranchInstrs, Jumps]),
+        (Instr::JmpR(Reg::R3), vec![BranchInstrs, IndirectBranches]),
+        (Instr::Call(b), vec![BranchInstrs, Calls]),
+        (Instr::CallR(Reg::R3), vec![BranchInstrs, Calls, IndirectBranches]),
+        (Instr::Ret, vec![BranchInstrs, Returns]),
+        (Instr::Push(Reg::R2), vec![Pushes]),
+        (Instr::Pop(Reg::R4), vec![Pops]),
+        (Instr::ClFlush(Reg::R1, 0), vec![Flushes]),
+        (Instr::MFence, vec![Fences]),
+        (Instr::Rdtsc(Reg::R4), vec![Rdtscs]),
+        (Instr::Syscall, vec![Syscalls]),
+    ];
+    let alu: [(AluOp, &[HpcEvent]); 11] = [
+        (AluOp::Add, &[]),
+        (AluOp::Sub, &[]),
+        (AluOp::Mul, &[MulOps]),
+        (AluOp::Divu, &[DivOps]),
+        (AluOp::Remu, &[DivOps]),
+        (AluOp::And, &[]),
+        (AluOp::Or, &[]),
+        (AluOp::Xor, &[]),
+        (AluOp::Shl, &[ShiftOps]),
+        (AluOp::Shr, &[ShiftOps]),
+        (AluOp::Sar, &[ShiftOps]),
+    ];
+    for (op, class) in alu {
+        cases.push((Instr::Alu(op, Reg::R4, Reg::R2, Reg::R2), [&[AluOps], class].concat()));
+        cases.push((Instr::Alui(op, Reg::R4, Reg::R2, 3), [&[AluImmOps, AluOps], class].concat()));
+    }
+    let kinds: std::collections::BTreeSet<_> = cases.iter().map(|&(instr, _)| opcode_kind(instr)).collect();
+    assert_eq!(kinds.len(), 17 + 2 * 11 + 2 * 3, "every opcode, ALU operation and width, once each");
+
+    let cfg = MachineConfig::default();
+    for (instr, events) in &cases {
+        let want = once_each(events);
+        let halts = *instr == Instr::Halt;
+        let mut fast = pin_machine::<Fast>(&cfg, 0, *instr, &[]);
+        let mut slow = pin_machine::<Reference>(&cfg, 0, *instr, &[]);
+        assert_eq!(fast.step() == StepStatus::Running, !halts, "{instr:?}: completes");
+        assert_eq!(slow.step() == StepStatus::Running, !halts, "{instr:?}: completes");
+        assert_eq!(static_counts(&mut fast), want, "{instr:?}: single step, fast path");
+        assert_eq!(static_counts(&mut slow), want, "{instr:?}: single step, reference path");
+        for (path, (exit, got, blocks)) in [
+            ("fast", run_whole(pin_machine::<Fast>(&cfg, 0, *instr, &[]))),
+            ("reference", run_whole(pin_machine::<Reference>(&cfg, 0, *instr, &[]))),
+        ] {
+            assert_eq!(exit, ExitReason::Halted, "{instr:?}: run_until, {path} path");
+            assert_eq!(got, want, "{instr:?}: run_until, {path} path");
+            assert_eq!(blocks > 0, path == "fast", "{instr:?}: blocks ran on the fast path only");
+        }
+    }
+}
+
+/// A way to stop: the configuration, the instruction, the registers that
+/// differ from [`pin_machine`]'s, the exit and the static events counted.
+type StopCase<'a> = (&'a MachineConfig, Instr, Vec<(Reg, u64)>, ExitReason, &'a [HpcEvent]);
+
+/// What an instruction that stops the machine has counted of its static
+/// events, for every way to stop: nothing, but for a system call and a
+/// return the shadow stack stopped. Each case runs as single steps and
+/// with `run_until`, on both paths; the stopping instruction ends a block
+/// of eight, so the fast path's `run_until` stops at a block's last
+/// instruction.
+#[test]
+fn static_events_of_every_stop() {
+    use HpcEvent::*;
+    let default = MachineConfig::default();
+    let mut shadow = default.clone();
+    shadow.protect.shadow_stack = true;
+    let mut no_clflush = default.clone();
+    no_clflush.protect.clflush_enabled = false;
+    // The budget faults on the instruction after the seventh: first on an
+    // eighth never fetched, then on the first of the next block.
+    let (short, whole) = (text_config(default.clone(), 7), text_config(default.clone(), 8));
+    let fault = ExitReason::Fault;
+    let unmapped = 1u64 << 40;
+    let mem = |addr, kind| fault(Fault::Mem(MemFault { addr, kind }));
+    let (read, write) = (AccessKind::Read, AccessKind::Write);
+    // A fault raised before the instruction completed, with the register
+    // that points at unmapped memory.
+    let faults = [
+        (Instr::Ld(Width::W, Reg::R4, Reg::R5, 0), Reg::R5, mem(unmapped, read)),
+        (Instr::St(Width::D, Reg::R5, Reg::R2, 0), Reg::R5, mem(unmapped, write)),
+        (Instr::Push(Reg::R2), Reg::SP, mem(unmapped - 8, write)),
+        (Instr::Pop(Reg::R4), Reg::SP, mem(unmapped, read)),
+        (Instr::Call(INSTR_BYTES as i32), Reg::SP, mem(unmapped - 8, write)),
+        (Instr::CallR(Reg::R3), Reg::SP, mem(unmapped - 8, write)),
+        (Instr::Ret, Reg::SP, mem(unmapped, read)),
+    ];
+    let mut cases: Vec<StopCase> = faults
+        .into_iter()
+        .map(|(instr, reg, exit)| (&default, instr, vec![(reg, unmapped)], exit, &[][..]))
+        .collect();
+    // The address after the stopping instruction, which `ret` finds at `sp`.
+    let after = pin_machine::<Reference>(&default, 7, Instr::Nop, &[]).reg(Reg::R3);
+    let mov = Instr::Mov(Reg::R4, Reg::R2);
+    cases.extend([
+        (
+            &shadow,
+            Instr::Ret,
+            vec![],
+            fault(Fault::ShadowStack { expected: 0, got: after }),
+            &[BranchInstrs, Returns][..],
+        ),
+        (&no_clflush, Instr::ClFlush(Reg::R1, 0), vec![], fault(Fault::ClflushDisabled), &[]),
+        (
+            &default,
+            Instr::Syscall,
+            vec![(Reg::R0, sys::EXIT), (Reg::R1, 7)],
+            ExitReason::Exited(7),
+            &[Syscalls],
+        ),
+        (&default, Instr::Syscall, vec![(Reg::R0, 99)], fault(Fault::BadSyscall { number: 99 }), &[Syscalls]),
+        (&default, Instr::Halt, vec![], ExitReason::Halted, &[]),
+        (&short, mov, vec![], fault(Fault::MaxInstructions), &[]),
+        (&whole, mov, vec![], fault(Fault::MaxInstructions), &[MovOps]),
+    ]);
+
+    for (cfg, instr, regs, exit, events) in &cases {
+        let what = format!("{instr:?} stopping with {exit:?}");
+        let want = (exit.clone(), once_each(events));
+        assert_eq!(stepped(pin_machine::<Fast>(cfg, 7, *instr, regs)), want, "{what}: steps, fast");
+        assert_eq!(stepped(pin_machine::<Reference>(cfg, 7, *instr, regs)), want, "{what}: steps, ref");
+        // The fast path runs the block the instruction ends, unless the
+        // budget has no room for it.
+        let want = (want.0, want.1, (cfg.max_instructions >= 8) as u64);
+        assert_eq!(run_whole(pin_machine::<Fast>(cfg, 7, *instr, regs)), want, "{what}: run_until, fast");
+        let want = (want.0, want.1, 0);
+        assert_eq!(run_whole(pin_machine::<Reference>(cfg, 7, *instr, regs)), want, "{what}: run_until, ref");
     }
 }

@@ -918,7 +918,10 @@ impl GenCase {
 /// fault kind and address, instructions, cycles), every window's cycle
 /// stamp and 56 deltas, the registers and PC, a hash of the text, data
 /// and stack, and the guest's stdout.
-type GenRun = (RunOutcome, Vec<(u64, PmuSnapshot)>, Vec<u64>, u64, u64, Vec<u8>);
+type GenRun = (RunOutcome, GenWindows, Vec<u64>, u64, u64, Vec<u8>);
+
+/// Every window's cycle stamp and 56 deltas.
+type GenWindows = Vec<(u64, PmuSnapshot)>;
 
 /// A started machine about to run `text`, the program of `case`, with
 /// its data buffer in `r12` and its text base in `r13`; returns those two
@@ -955,18 +958,29 @@ fn run_generated<P: ExecPath>(case: &GenCase) -> GenRun {
 }
 
 /// The cycle, PC and registers at the end of every window of `case`, cut
-/// where the profiler cuts them: what a sampler reading the registers
-/// would see.
-fn generated_window_states<P: ExecPath>(case: &GenCase) -> Vec<(u64, u64, Vec<u64>)> {
+/// where the profiler cuts them (what a sampler reading the registers
+/// would see), and each window's cycle stamp and deltas, the final one
+/// kept only if it retired an instruction. A ladder of `run_until` calls
+/// never jumps across a window edge and finds each next edge with the
+/// sampler's stepping loop, so its windows check the profiler's closed
+/// form and edge rule.
+fn generated_window_states<P: ExecPath>(case: &GenCase) -> (Vec<(u64, u64, Vec<u64>)>, GenWindows) {
     let (mut m, ..) = generated_machine::<P>(case, &case.text());
     let interval = case.interval();
-    let mut next = interval;
-    let mut states = Vec::new();
+    let mut next = m.cycles() + interval;
+    let (mut states, mut windows) = (Vec::new(), Vec::new());
+    let mut last = m.pmu().snapshot();
     loop {
         let exit = m.run_until(next);
         states.push((m.cycles(), m.pc(), Reg::ALL.iter().map(|&r| m.reg(r)).collect()));
+        let counters = m.pmu().snapshot();
+        let deltas = counters - last;
+        last = counters;
+        if exit.is_none() || deltas.count(HpcEvent::Instructions) > 0 {
+            windows.push((m.cycles(), deltas));
+        }
         if exit.is_some() {
-            return states;
+            return (states, windows);
         }
         while next <= m.cycles() {
             next += interval;
@@ -981,6 +995,7 @@ proptest! {
     /// end too), memory and output,
     /// whatever the protections, the instruction budget and the sampling
     /// interval, down to windows of one cycle that cut blocks anywhere.
+    /// The profiled windows also match a `run_until` ladder's.
     #[test]
     fn generated_programs_run_identically_on_both_paths(
         fragments in proptest::collection::vec((0u8..64, any::<u32>(), any::<u32>()), 1..48),
@@ -997,11 +1012,15 @@ proptest! {
         prop_assert_eq!(&fast.2[..], &slow.2[..], "registers of {:?}", case);
         prop_assert_eq!((fast.3, fast.4), (slow.3, slow.4), "pc and memory of {:?}", case);
         prop_assert_eq!(&fast.5, &slow.5, "stdout of {:?}", case);
-        let fast = generated_window_states::<Fast>(&case);
-        let slow = generated_window_states::<Reference>(&case);
-        prop_assert_eq!(fast.len(), slow.len(), "window count of {:?}", case);
-        for (i, (got, want)) in fast.iter().zip(&slow).enumerate() {
+        let (fast_states, ladder) = generated_window_states::<Fast>(&case);
+        let (slow_states, _) = generated_window_states::<Reference>(&case);
+        prop_assert_eq!(fast_states.len(), slow_states.len(), "window count of {:?}", case);
+        for (i, (got, want)) in fast_states.iter().zip(&slow_states).enumerate() {
             prop_assert_eq!(got, want, "state after window {} of {:?}", i, case);
+        }
+        prop_assert_eq!(fast.1.len(), ladder.len(), "profiled vs run_until window count of {:?}", case);
+        for (i, (got, want)) in fast.1.iter().zip(&ladder).enumerate() {
+            prop_assert_eq!(got, want, "profiled vs run_until window {} of {:?}", i, case);
         }
     }
 }
